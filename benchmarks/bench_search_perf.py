@@ -2,7 +2,7 @@
 
 Times the full Ribbon hot path this PR rebuilt — GP surrogate refits with
 analytic-gradient likelihood optimization, the cached service-time matrix,
-and heap dispatch on saturated pools — as one end-to-end search workload:
+and FCFS dispatch — as one end-to-end search workload:
 three seeded `RibbonOptimizer` searches (fresh evaluators) over a surge-load
 MT-WND trace on a 3-family, 24-instance-max lattice.
 
@@ -21,7 +21,7 @@ sequences; this bench
   ``BENCH_ENFORCE_SPEEDUP=0`` to disable it).
 
 Component micro-benchmarks of the same hot paths (cached vs uncached
-matrix, heap vs linear dispatch under saturation, analytic vs
+matrix, native vs Python dispatch under saturation, analytic vs
 finite-difference GP fit, incremental vs full refit) ride along so
 regressions are attributable.
 """
@@ -148,23 +148,23 @@ def test_perf_service_matrix_cached_vs_fresh(benchmark, search_ctx):
     assert fresh_s > 0  # regeneration does real work; the hit is a dict read
 
 
-def test_perf_heap_vs_linear_dispatch_saturated(benchmark, search_ctx):
-    """The heap dispatcher must beat the scan on a saturated large pool."""
+def test_perf_native_vs_python_dispatch_saturated(benchmark, search_ctx):
+    """The native loop against the Python fallback on a saturated pool."""
     _, model, trace, space, _ = search_ctx
     pool = PoolConfiguration(space.families, (8, 8, 8))
     no_memo = SimulationResultCache(maxsize=0)  # time dispatch, not the memo
-    heap_sim = InferenceServingSimulator(model, dispatch="heap", result_cache=no_memo)
-    linear_sim = InferenceServingSimulator(
-        model, dispatch="linear", result_cache=no_memo
+    native_sim = InferenceServingSimulator(model, result_cache=no_memo)
+    python_sim = InferenceServingSimulator(
+        model, dispatch="python", result_cache=no_memo
     )
-    heap_sim.simulate(trace, pool)  # warm caches
+    native_sim.simulate(trace, pool)  # warm caches and build the library
 
-    res = benchmark(heap_sim.simulate, trace, pool)
+    res = benchmark(native_sim.simulate, trace, pool)
     t0 = time.perf_counter()
-    linear_sim.simulate(trace, pool)
-    linear_s = time.perf_counter() - t0
+    python_sim.simulate(trace, pool)
+    python_s = time.perf_counter() - t0
     assert len(res) == len(trace)
-    assert linear_s > 0
+    assert python_s > 0
 
 
 def test_perf_gp_fit_analytic_gradients(benchmark):

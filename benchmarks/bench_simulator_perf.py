@@ -1,9 +1,10 @@
 """Engine micro-benchmarks (repo infrastructure, not a paper figure).
 
 Timings of the hot paths the whole harness sits on: one configuration
-evaluation (fast engine), the event-heap reference, a GP fit+predict, and a
-full Ribbon search.  These are real repeated benchmarks (pytest-benchmark
-statistics are meaningful here, unlike the one-shot figure benches).
+evaluation on the fast engine's native dispatch loop and on its Python
+fallback, the event-heap reference, a GP fit+predict, and a full Ribbon
+search.  These are real repeated benchmarks (pytest-benchmark statistics
+are meaningful here, unlike the one-shot figure benches).
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from repro.core.search_space import SearchSpace
 from repro.gp.kernels import Matern52, RoundedKernel
 from repro.gp.regression import GaussianProcessRegressor
 from repro.models.zoo import get_model
-from repro.simulator.engine import InferenceServingSimulator
+from repro.simulator.engine import InferenceServingSimulator, native_available
 from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
@@ -41,6 +42,16 @@ def test_perf_fast_engine(benchmark, workload):
     sim = InferenceServingSimulator(model, track_queue=False, **_NO_MEMO)
     res = benchmark(sim.simulate, trace, pool)
     assert len(res) == len(trace)
+    assert sim.dispatch_counts["native"] > 0 or not native_available()
+
+
+def test_perf_fast_engine_python(benchmark, workload):
+    model, trace, pool = workload
+    sim = InferenceServingSimulator(
+        model, dispatch="python", track_queue=False, **_NO_MEMO
+    )
+    res = benchmark(sim.simulate, trace, pool)
+    assert len(res) == len(trace)
 
 
 def test_perf_fast_engine_with_queue_tracking(benchmark, workload):
@@ -52,32 +63,29 @@ def test_perf_fast_engine_with_queue_tracking(benchmark, workload):
 
 @pytest.fixture(scope="module")
 def hetero_workload():
-    """A saturated 128-instance three-family mix: the grouped-family
-    vector kernel's target regime (see bench_hetero_kernel.py for the
-    kernel-vs-heap trajectory; this bench tracks absolute engine cost)."""
+    """A saturated 128-instance three-family mix: the scan walks the
+    whole pool on every arrival, the native loop's worst case."""
     model = get_model("MT-WND")
     trace = trace_for_model(model, n_queries=4000, seed=1, load_factor=60.0)
     pool = PoolConfiguration(("g4dn", "c5", "r5n"), (64, 32, 32))
     return model, trace, pool
 
 
-def test_perf_fast_engine_hetero_heap(benchmark, hetero_workload):
+def test_perf_fast_engine_hetero_python(benchmark, hetero_workload):
     model, trace, pool = hetero_workload
     sim = InferenceServingSimulator(
-        model, dispatch="heap", track_queue=False, **_NO_MEMO
+        model, dispatch="python", track_queue=False, **_NO_MEMO
     )
     res = benchmark(sim.simulate, trace, pool)
     assert len(res) == len(trace)
 
 
-def test_perf_fast_engine_hetero_vector(benchmark, hetero_workload):
+def test_perf_fast_engine_hetero_native(benchmark, hetero_workload):
     model, trace, pool = hetero_workload
-    sim = InferenceServingSimulator(
-        model, dispatch="vector", track_queue=False, **_NO_MEMO
-    )
+    sim = InferenceServingSimulator(model, track_queue=False, **_NO_MEMO)
     res = benchmark(sim.simulate, trace, pool)
     assert len(res) == len(trace)
-    assert sim.dispatch_counts["vector_hetero"] > 0
+    assert sim.dispatch_counts["native"] > 0 or not native_available()
 
 
 def test_perf_event_heap_reference(benchmark, workload):

@@ -9,6 +9,8 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
+    # The native dispatch loop is compiled from this source on first use.
+    package_data={"repro.simulator": ["_fcfs.c"]},
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
     extras_require={"test": ["pytest", "hypothesis"]},

@@ -111,9 +111,9 @@ class ScenarioRunner:
         dispatch-path engagement counts.
     dispatch:
         Dispatch policy handed to every evaluator this runner builds
-        (``"auto"`` default, or a forced ``"linear"``/``"heap"``/
-        ``"vector"`` substrate — all bit-identical).  :meth:`fork`
-        propagates it.
+        (``"auto"`` default: the native loop when available, or
+        ``"python"`` to force the Python loop — both bit-identical).
+        :meth:`fork` propagates it.
     eval_backend, eval_workers:
         Evaluation backend for batched evaluations — a registered name
         (``"serial"``/``"thread"``/``"process"``) or an
@@ -328,12 +328,9 @@ class ScenarioRunner:
             disk.close()
 
     def dispatch_counts(self) -> dict[str, int]:
-        """Per-substrate dispatch run counts across this runner's
-        evaluators and their forks
-        (``linear``/``heap``/``vector``/``vector_hetero`` plus the
-        aggregate ``vector_fallback`` and its ``vector_fallback_*``
-        reason split; result-memo hits never dispatch, so warmed sweeps
-        can legitimately report zeros)."""
+        """Per-loop dispatch run counts (``native``/``python``) across
+        this runner's evaluators and their forks; result-memo hits never
+        dispatch, so warmed sweeps can legitimately report zeros."""
         return self._dispatch_counters.snapshot()
 
     def cache_stats(self) -> dict[str, dict[str, int]]:
@@ -343,7 +340,7 @@ class ScenarioRunner:
         Keys: ``"simulation"`` (the :class:`SimulationResultCache` —
         whole-result reuse across seeds/forks), ``"service"`` (the
         :class:`ServiceTimeCache` — per-workload service-time matrices)
-        and ``"dispatch"`` (per-substrate run counts, see
+        and ``"dispatch"`` (per-loop run counts, see
         :meth:`dispatch_counts`).  Cache counters are cumulative over each
         cache's lifetime; with the default process-wide caches that spans
         every runner in the process, not just this one.  Dispatch counts

@@ -3,18 +3,19 @@
 ``Budget.evaluate_batch`` / ``ConfigurationEvaluator.evaluate_many``
 parallelize the *simulations* of a proposal batch while admitting records
 sequentially, so batched searches replay bit-for-bit.  PR 5 ran those
-simulations on a thread pool, which the GIL caps hard on the scalar
-dispatch substrates (only ~0-10% of the measured batch win came from
-parallelism).  This module makes the execution substrate pluggable:
+simulations on a thread pool, which the GIL capped hard on the
+pure-Python dispatch loops of the time (only ~0-10% of the measured batch
+win came from parallelism).  This module makes the execution substrate
+pluggable:
 
 ``SerialBackend``
     Simulate in the calling thread, in order.  The reference everything
     else must match bit-for-bit.
 ``ThreadBackend``
     The PR-5 behavior, verbatim: a per-call ``ThreadPoolExecutor`` over
-    ``simulator.simulate``.  Cheap to engage (no worker startup), wins
-    when the vector substrate releases the GIL inside NumPy, and is the
-    default when no backend is configured.
+    ``simulator.simulate``.  Cheap to engage (no worker startup), runs
+    the native dispatch loop in parallel (its ``ctypes`` call releases
+    the GIL), and is the default when no backend is configured.
 ``ProcessBackend``
     A persistent ``ProcessPoolExecutor`` whose workers rehydrate the
     workload from shared memory: the parent exports the contiguous
@@ -23,12 +24,12 @@ parallelism).  This module makes the execution substrate pluggable:
     segment per workload, and each worker maps them zero-copy, seeds a
     worker-local service cache, and runs the *real*
     :class:`~repro.simulator.engine.InferenceServingSimulator` — same
-    dispatch policy, same substrates, so results are bit-identical by
-    construction.  Results and per-path dispatch deltas flow back to the
-    parent, which admits the frozen results into its own
-    :class:`~repro.simulator.result_cache.SimulationResultCache` and
-    merges the counters.  This is the backend that beats the GIL on the
-    scalar (heterogeneous-pool) dispatch floor.
+    dispatch policy, same loops, so results are bit-identical by
+    construction.  Results and per-loop (``native``/``python``) dispatch
+    deltas flow back to the parent, which admits the frozen results into
+    its own :class:`~repro.simulator.result_cache.SimulationResultCache`
+    and merges the counters.  It beats the GIL on the Python fallback
+    loop.
 
 Backends only decide *where* ``simulate`` runs; all record admission,
 sample indexing and exploration accounting stay sequential in the

@@ -86,7 +86,7 @@ class ConfigurationEvaluator:
         ``SimulationResultCache(maxsize=0)`` to opt out.
     dispatch:
         Dispatch policy handed to the simulator — ``"auto"`` (default)
-        or a forced ``"linear"``/``"heap"``/``"vector"`` substrate; all
+        or ``"python"`` to force the Python loop; both
         produce bit-identical results.  Propagated by :meth:`fork`.
     dispatch_counters:
         Per-path engagement counter sink shared with the simulator (and

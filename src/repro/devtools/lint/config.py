@@ -11,7 +11,7 @@ restate or override any of them from ``pyproject.toml``::
     disable = []                       # rule names switched off globally
 
     [tool.repro-lint.cache-key]
-    exempt = { duration_s = "derived from arrival_s, policy-only" }
+    exempt = { noise_sigma_for = "method: pure function of noise_sigma" }
 
 Keys use dashes (TOML idiom); unknown keys raise :class:`LintConfigError`
 so a typo cannot silently disable a gate.
@@ -70,13 +70,9 @@ class LintConfig:
         "result_key",
     )
     #: Attribute -> justification: reads exempt from the cache-key rule
-    #: (dispatch-only knobs and pure derivations of keyed fields).
+    #: (pure derivations of keyed fields).
     cache_key_exempt: dict[str, str] = field(
         default_factory=lambda: {
-            "duration_s": (
-                "dispatch-policy knob only (substrates are bit-identical);"
-                " derived from arrival_s, which is keyed"
-            ),
             "service_time_s": (
                 "method: pure function of profiles (keyed) and the trace"
                 " batch_sizes (keyed)"

@@ -20,9 +20,8 @@ collected purely from the AST:
 
 Every read must be keyed or appear in the explicit exemption table
 (``[tool.repro-lint.cache-key] exempt``), which carries a justification
-per attribute — the current exemptions are dispatch-only knobs
-(``duration_s`` picks a substrate, and substrates are bit-identical) and
-methods that are pure functions of keyed fields.
+per attribute — the current exemptions are methods that are pure
+functions of keyed fields.
 """
 
 from __future__ import annotations

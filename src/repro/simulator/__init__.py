@@ -7,10 +7,9 @@ paper).  Two independently written engines are provided:
 * :class:`~repro.simulator.engine.InferenceServingSimulator` — the fast
   arrival-order engine used everywhere (a query either starts immediately on
   the first free instance in type order, or waits for the earliest-free
-  instance).  It dispatches on one of three bit-identical substrates —
-  the linear scan, the heap dispatcher, or the exact NumPy busy-period
-  kernels of :mod:`repro.simulator.vector_kernel` — picked per simulation
-  by pool shape and offered load (``dispatch="auto"``).
+  instance).  It dispatches with a native C loop built on first use,
+  falling back to a bit-identical pure-Python heap loop when no compiler
+  is available or under ``dispatch="python"``.
 * :class:`~repro.simulator.events.EventHeapSimulator` — an event-heap
   reference implementation used to cross-validate the fast engine in the
   test suite.
@@ -33,6 +32,8 @@ from repro.simulator.engine import (
     DispatchCounters,
     InferenceServingSimulator,
     global_dispatch_counters,
+    native_available,
+    native_error,
 )
 from repro.simulator.events import EventHeapSimulator
 from repro.simulator.result_cache import (
@@ -44,7 +45,6 @@ from repro.simulator.service import (
     service_time_matrix,
     shared_service_cache,
 )
-from repro.simulator.vector_kernel import homogeneous_pool, lindley_single
 
 __all__ = [
     "PoolConfiguration",
@@ -55,8 +55,8 @@ __all__ = [
     "ServiceTimeCache",
     "SimulationResultCache",
     "global_dispatch_counters",
-    "homogeneous_pool",
-    "lindley_single",
+    "native_available",
+    "native_error",
     "service_time_matrix",
     "shared_service_cache",
     "shared_simulation_cache",

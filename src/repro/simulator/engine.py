@@ -20,55 +20,28 @@ This is an exact simulation of the queueing system, not an approximation —
 the event-heap engine in :mod:`repro.simulator.events` independently verifies
 it in the test suite.
 
-Performance notes (per the profiling-first HPC guidance this repo follows):
+Two bit-identical loops implement the pass:
 
-* service times come pre-noised from the per-workload
-  :class:`~repro.simulator.service.ServiceTimeCache`, so repeated pool
-  evaluations of one search never regenerate the lognormal draws;
-* whole simulations are memoized across evaluators by the process-wide
-  :class:`~repro.simulator.result_cache.SimulationResultCache` — the
-  engine is deterministic per ``(model, trace, pool)``, so re-simulating
-  a configuration another seed/fork already served returns the stored
-  :class:`SimulationResult` without touching the dispatch loop;
-* dispatch runs on one of four substrates, all bit-identical
-  (property-tested against each other and the event-heap reference):
+* ``native`` — the scan in C (``_fcfs.c``), built on first use by
+  :mod:`repro.simulator._native` with ``-O2 -ffp-contract=off`` and no
+  fast-math, and called through :mod:`ctypes` (which releases the GIL).
+  It reads the cached read-only service-time matrix, the trace's arrival
+  array and the pool's type vector in place, and writes straight into the
+  NumPy arrays that back the :class:`SimulationResult`.  It also computes
+  the waiting-queue length seen by each arrival: FCFS start times are
+  monotone, so that length is ``q - #{j < q : start_j <= t_q}``,
+  maintained by one moving pointer over the starts.
+* ``python`` — the portable fallback: an O(n log m) loop over two heaps,
+  run when the native library cannot be built or loaded
+  (:func:`native_error` says why) and under ``dispatch="python"``.
 
-  - ``linear`` — the O(n·m) scalar scan; O(1) per query on underloaded
-    pools of any size because it short-circuits on the first free
-    instance;
-  - ``heap`` — O(n log m) on two heaps (a min-heap of free instance
-    indices for the type-order preference, and a min-heap of
-    ``(free_at, index)`` busy instances for the earliest-free pick), which
-    wins on big saturated pools where the scan stops short-circuiting;
-  - ``vector`` — the exact NumPy busy-period kernels of
-    :mod:`repro.simulator.vector_kernel`, fed directly from the
-    :class:`ServiceTimeCache` ndarray rows with no list round-trips.
-    Single-instance pools run the re-anchored Lindley cumsum (the big
-    win: the scalar loops floor at ~0.5 us/query where the kernel runs at
-    ~0.05); homogeneous pools run the pop-multiset fixpoint, whose
-    advantage grows with pool size because the m-server merge has an
-    irreducible *generation depth* (one sort round per pool turnover);
-  - ``vector`` on a *heterogeneous* pool — the grouped-family labelled
-    fixpoint of :mod:`repro.simulator.hetero_kernel`, which merges the
-    per-family clock multisets exactly and gathers each query's service
-    by its chosen family (counted as ``vector_hetero`` in the dispatch
-    stats; its crossover against the heap sits higher than the
-    homogeneous kernel's because every round pays a labelled gather);
-
-  ``auto`` picks per simulation from the pool shape and the offered load
-  (arrival rate x mean service time, from the cached matrix): vector for
-  single-instance pools and for large saturated pools (homogeneous and
-  heterogeneous, each past its own measured size floor), the heap when
-  offered load keeps most of a big pool busy, the scan otherwise.
-  Per-path engagement counts are kept on the simulator and process-wide
-  (:func:`global_dispatch_counters`), with vector *disengagements* split
-  by reason, so benches can assert the substrate they mean to measure
-  actually engaged;
-* the waiting-queue tracker exploits that FCFS start times are monotone
-  non-decreasing: the queue length seen by arrival q is exactly
-  ``q - #{j < q : start_j <= t_q}``, maintained by one moving pointer over
-  the start list — O(n) total (it used to be a sorted list with
-  ``pop(0)``, degrading quadratically on saturated traces).
+``dispatch="auto"`` (the default) runs the native loop whenever it is
+available.  Service times come pre-noised from the per-workload
+:class:`~repro.simulator.service.ServiceTimeCache`, and whole simulations
+are memoized across evaluators by the process-wide
+:class:`~repro.simulator.result_cache.SimulationResultCache`, so a repeated
+``(model, trace, pool)`` never reaches either loop.  Per-path run counts are
+kept on the simulator and process-wide (:func:`global_dispatch_counters`).
 """
 
 from __future__ import annotations
@@ -79,6 +52,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 import numpy as np
 
 from repro.models.base import ModelProfile
+from repro.simulator import _native
 from repro.simulator.metrics import SimulationResult
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import (
@@ -86,82 +60,29 @@ from repro.simulator.result_cache import (
     shared_simulation_cache,
 )
 from repro.simulator.service import ServiceTimeCache, shared_service_cache
-from repro.simulator.hetero_kernel import heterogeneous_pool
-from repro.simulator.vector_kernel import homogeneous_pool, lindley_single
 from repro.workload.trace import QueryTrace
 
-#: Heap-dispatch threshold (measured crossover; both paths are exact, so
-#: this is purely a constant-factor policy).  The heap wins exactly when the
-#: linear scan stops short-circuiting on an early free instance — i.e. when
-#: the offered load occupies at least this fraction of the pool; on
-#: underloaded pools of any size the scan is O(1) per query and faster.
-_HEAP_MIN_OCCUPANCY = 0.8
 
-#: Below this many queries the single-instance vector kernel's fixed setup
-#: cost exceeds the scalar loop (measured crossover ~50 queries).
-_VECTOR_MIN_QUERIES = 64
+def native_available() -> bool:
+    """Whether the native dispatch loop is usable (builds it on first call)."""
+    return _native.LOADER.function() is not None
 
-#: Minimum homogeneous-pool size for ``auto`` to pick the vector kernel.
-#: The pop-multiset fixpoint pays one sort round per pool turnover
-#: (generation depth), so its per-query cost falls with m; measured
-#: crossover against the heap sits near 24-32 instances.
-_VECTOR_MIN_POOL = 32
 
-#: The homogeneous vector kernel engages only past this offered load (in
-#: busy-instance units over the pool size): its saturated-block solver
-#: degrades to scalar steps when arrivals keep finding free instances.
-_VECTOR_MIN_OCCUPANCY = 1.0
-
-#: Minimum heterogeneous-pool size for ``auto`` to pick the grouped-family
-#: vector kernel.  The labelled fixpoint pays a few argsort rounds per pool
-#: turnover plus per-query service gathers by family label, so its
-#: crossover against the heap sits higher than the homogeneous kernel's
-#: (measured on the recording host: ~1.1x at 64 instances under deep
-#: saturation, 1.5-2x from 96; see ``BENCH_hetero_kernel.json``).
-_VECTOR_HETERO_MIN_POOL = 64
+def native_error() -> str | None:
+    """Why the native loop could not be built or loaded, if it failed."""
+    return _native.LOADER.error
 
 
 class DispatchCounters:
-    """Thread-safe run counters for the dispatch substrates.
+    """Thread-safe run counters for the two dispatch loops.
 
-    ``linear``/``heap``/``vector``/``vector_hetero`` count simulations
-    actually *dispatched* by each path (result-memo hits never dispatch, so
-    they do not count); ``vector_hetero`` is a real engagement of the
-    grouped-family kernel on a heterogeneous pool, distinct from any
-    fallback.  ``vector_fallback`` counts simulations that asked for (or
-    were shaped for) the vector substrate but were served by a scalar path
-    instead — incremented *in addition to* the path that served them, and
-    split by reason:
-
-    * ``vector_fallback_tie_screen`` — a kernel bailed out of the whole
-      trace after engaging (the single-instance boundary self-check, or a
-      heterogeneous input outside the kernel's domain); per-block tie
-      screens inside the kernels take exact scalar *steps* without
-      abandoning the run, so they do not count here.
-    * ``vector_fallback_crossover`` — ``auto`` saw a saturated,
-      kernel-shaped pool with enough queries but below the measured
-      engagement floor (``_VECTOR_MIN_POOL`` / ``_VECTOR_HETERO_MIN_POOL``)
-      and kept it on a scalar path.
-    * ``vector_fallback_hetero`` — the pre-hetero-kernel reason (a
-      heterogeneous pool under ``dispatch="vector"`` had no kernel to run).
-      Closed since the grouped-family kernel landed: it stays 0 and is kept
-      so long-lived telemetry streams keep a stable schema.
-
-    The aggregate ``vector_fallback`` equals the sum of the reasons.
+    ``native`` and ``python`` count simulations actually *dispatched* by
+    each loop; result-memo hits never dispatch, so they do not count.
     """
 
     __slots__ = ("_lock", "_counts")
 
-    PATHS = (
-        "linear",
-        "heap",
-        "vector",
-        "vector_hetero",
-        "vector_fallback",
-        "vector_fallback_hetero",
-        "vector_fallback_crossover",
-        "vector_fallback_tie_screen",
-    )
+    PATHS = ("native", "python")
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -220,20 +141,16 @@ class InferenceServingSimulator:
         instance so every simulator serving the same workload reuses one
         matrix.  Pass ``ServiceTimeCache(maxsize=0)`` to disable caching.
     dispatch:
-        ``"auto"`` (default) picks a substrate per simulation from the
-        pool shape and offered load; ``"linear"`` / ``"heap"`` /
-        ``"vector"`` force one path (the equivalence test suite exercises
-        all of them on equal inputs).  A forced ``"vector"`` engages a
-        kernel for every pool shape: the shared-row kernels on
-        single-instance and homogeneous pools, the grouped-family kernel
-        on heterogeneous ones.  The dispatch path is deliberately *not*
-        part of the result-memo key: all paths are bit-identical by
-        contract.
+        ``"auto"`` (default) runs the native loop, or the Python loop
+        when the native library is unavailable; ``"python"`` forces the
+        Python loop (the equivalence suites run both on equal inputs).
+        The dispatch path is deliberately *not* part of the result-memo
+        key: both loops are bit-identical by contract.
     dispatch_counters:
         Engagement-counter sink for this simulator (also mirrored into the
         process-wide :func:`global_dispatch_counters`).  Evaluators and
         runners share one counters object across their forks so sweeps can
-        report which substrates actually ran.
+        report which loops actually ran.
     result_cache:
         Whole-result memo; defaults to the process-wide shared instance so
         any simulator asked for a ``(model, trace, pool)`` it (or a sibling
@@ -243,8 +160,8 @@ class InferenceServingSimulator:
         benchmarking the dispatch loop itself).
     """
 
-    #: The full dispatch-policy set (``auto`` plus the three substrates).
-    DISPATCH_POLICIES = ("auto", "linear", "heap", "vector")
+    #: The dispatch-policy set.
+    DISPATCH_POLICIES = ("auto", "python")
 
     def __init__(
         self,
@@ -295,7 +212,7 @@ class InferenceServingSimulator:
 
     @property
     def dispatch(self) -> str:
-        """The configured dispatch policy (``auto`` or a forced substrate)."""
+        """The configured dispatch policy (``auto`` or ``python``)."""
         return self._dispatch
 
     @property
@@ -321,11 +238,6 @@ class InferenceServingSimulator:
         self._counters.record(path)
         if self._counters is not _GLOBAL_DISPATCH:
             _GLOBAL_DISPATCH.record(path)
-
-    def _record_fallback(self, reason: str) -> None:
-        """Count a vector disengagement: the aggregate plus its reason."""
-        self._record_dispatch("vector_fallback")
-        self._record_dispatch("vector_fallback_" + reason)
 
     def merge_dispatch(self, counts: dict[str, int]) -> None:
         """Aggregate a dispatch-count delta produced elsewhere.
@@ -409,7 +321,6 @@ class InferenceServingSimulator:
             if hit is not None:
                 return hit
 
-        n = len(trace)
         expand_key = (pool.families, pool.counts)
         expanded = self._expand_cache.get(expand_key)
         if expanded is None:
@@ -425,122 +336,43 @@ class InferenceServingSimulator:
             if len(self._expand_cache) < 4096:
                 self._expand_cache[expand_key] = expanded
         type_list, instance_family, type_of_instance = expanded
-        families = pool.families
-        n_instances = len(type_list)
         cache = self._service_cache
-        # One family holding every instance: the shape the vector kernels
-        # (and their shared service row) require.
-        homogeneous = sum(1 for c in pool.counts if c) == 1
-        service_rows: list[list[float]] | None = None
-
-        # -- dispatch-path policy ------------------------------------------
-        if self._dispatch == "linear":
-            path = "linear"
-        elif self._dispatch == "heap":
-            path = "heap"
-        elif self._dispatch == "vector":
-            # Forced vector always engages a kernel: homogeneous shapes run
-            # the shared-row kernels, heterogeneous pools the grouped-family
-            # fixpoint (its service gathers come straight from the cached
-            # matrix, so no shared row is needed).
-            path = "vector" if n_instances == 1 or homogeneous else "vector_hetero"
-        elif n_instances == 1 or n == 0:
-            path = (
-                "vector"
-                if n_instances == 1 and n >= _VECTOR_MIN_QUERIES
-                else "linear"
+        track = self._track_queue
+        native = _native.LOADER.function() if self._dispatch == "auto" else None
+        if native is not None:
+            path = "native"
+            _, service_s, wait_s, latency_s, chosen, busy, queue_len, makespan = (
+                _native.fcfs_dispatch(
+                    native,
+                    trace.arrival_s,
+                    cache.matrix(self._model, trace, pool.families),
+                    type_of_instance,
+                    track,
+                )
             )
         else:
-            # Offered load in busy-instance units (Erlangs): arrival rate x
-            # mean service time per query (pool-mix average).  With caching
-            # disabled, derive the means from list rows materialized once
-            # and reused by the scalar run below — which is also why the
-            # vector branches require an enabled cache: picking one here
-            # would throw those rows away and regenerate the matrix a
-            # second time.  (The single-instance branch above has no such
-            # guard: it needs no means, so its matrix() call does exactly
-            # one generation either way.)
-            duration = trace.duration_s
-            if cache.maxsize > 0:
-                means = cache.row_means(self._model, trace, families)
-            else:
-                service_rows = cache.rows(self._model, trace, families)
-                means = [float(sum(r)) / len(r) for r in service_rows]
-            offered = (
-                n
-                * (float(sum(means[t] for t in type_list)) / n_instances)
-                / duration
-                if duration > 0.0
-                else np.inf
-            )
-            kernel_ready = (
-                cache.maxsize > 0
-                and n >= _VECTOR_MIN_QUERIES
-                and offered >= _VECTOR_MIN_OCCUPANCY * n_instances
-            )
-            pool_floor = (
-                _VECTOR_MIN_POOL if homogeneous else _VECTOR_HETERO_MIN_POOL
-            )
-            if kernel_ready and n_instances >= pool_floor:
-                path = "vector" if homogeneous else "vector_hetero"
-            else:
-                if kernel_ready:
-                    # Saturated, enough queries, kernel-shaped — only the
-                    # measured size crossover kept the kernel out.
-                    self._record_fallback("crossover")
-                path = (
-                    "heap"
-                    if offered >= _HEAP_MIN_OCCUPANCY * n_instances
-                    else "linear"
-                )
-
-        result = None
-        if path == "vector" or path == "vector_hetero":
-            result = self._run_vector(
-                trace,
-                families,
-                type_list,
-                type_of_instance,
-                instance_family,
-                n_instances,
-                hetero=path == "vector_hetero",
-            )
-            if result is None:
-                # A kernel abandoned the trace (the ulp-rare
-                # single-instance boundary self-check, or a heterogeneous
-                # input outside the kernel's domain): rerun on the scalar
-                # substrate the policy would otherwise pick for this shape.
-                self._record_fallback("tie_screen")
-                path = "linear" if n_instances == 1 else "heap"
-        if result is None:
-            if service_rows is None:
-                service_rows = cache.rows(self._model, trace, families)
-            run = self._run_heap if path == "heap" else self._run_linear
-            starts, services, chosen, busy, queue_len, makespan = run(
+            path = "python"
+            starts, services, chosen, busy, queue_len, makespan = self._run_heap(
                 cache.arrival_list(trace),
-                service_rows,
+                cache.rows(self._model, trace, pool.families),
                 type_list,
-                n_instances,
             )
-            arrivals = trace.arrival_s
-            start_s = np.asarray(starts, dtype=float)
             service_s = np.asarray(services, dtype=float)
-            wait_s = start_s - arrivals
+            wait_s = np.asarray(starts, dtype=float) - trace.arrival_s
             latency_s = wait_s + service_s
-            result = SimulationResult(
-                latency_s=latency_s,
-                wait_s=wait_s,
-                service_s=service_s,
-                instance_index=np.asarray(chosen, dtype=np.int64),
-                instance_family=instance_family,
-                busy_s_per_instance=np.asarray(busy, dtype=float),
-                makespan_s=makespan if n else 0.0,
-                queue_len_at_arrival=(
-                    np.asarray(queue_len, dtype=np.int64)
-                    if self._track_queue
-                    else np.empty(0)
-                ),
-            )
+            chosen = np.asarray(chosen, dtype=np.int64)
+            busy = np.asarray(busy, dtype=float)
+            queue_len = np.asarray(queue_len, dtype=np.int64) if track else None
+        result = SimulationResult(
+            latency_s=latency_s,
+            wait_s=wait_s,
+            service_s=service_s,
+            instance_index=chosen,
+            instance_family=instance_family,
+            busy_s_per_instance=busy,
+            makespan_s=makespan,
+            queue_len_at_arrival=queue_len if track else np.empty(0),
+        )
         self._record_dispatch(path)
         if memoize:
             result = memo.put(
@@ -553,174 +385,22 @@ class InferenceServingSimulator:
             )
         return result
 
-    # -- dispatch loops -----------------------------------------------------
-    def _run_vector(
-        self,
-        trace: QueryTrace,
-        families: tuple[str, ...],
-        type_list: list[int],
-        type_of_instance: np.ndarray,
-        instance_family: tuple[str, ...],
-        n_instances: int,
-        *,
-        hetero: bool = False,
-    ) -> SimulationResult | None:
-        """Serve via the NumPy busy-period kernels, or None on fallback.
-
-        The kernels are fed straight from the cached service-time matrix
-        and the trace's arrival ndarray — no list round-trips — and their
-        output arrays back the :class:`SimulationResult` directly.  With
-        ``hetero=True`` the grouped-family kernel runs on the full matrix
-        and gathers each query's service by its *chosen* family; otherwise
-        the single shared row feeds the homogeneous kernels.
-        """
-        cache = self._service_cache
-        matrix = cache.matrix(self._model, trace, families)
-        arrivals = trace.arrival_s
-        n = arrivals.shape[0]
-        track = self._track_queue
-        if hetero:
-            out = heterogeneous_pool(arrivals, matrix, type_of_instance, track)
-            if out is None:
-                return None
-            starts, chosen, service_s, busy, queue_len, makespan = out
-            wait_s = starts - arrivals
-            # service_s is a fresh per-query gather (not a matrix view), so
-            # memoizing the result does not pin the multi-family matrix.
-            return SimulationResult(
-                latency_s=wait_s + service_s,
-                wait_s=wait_s,
-                service_s=service_s,
-                instance_index=chosen,
-                instance_family=instance_family,
-                busy_s_per_instance=busy,
-                makespan_s=makespan,
-                queue_len_at_arrival=queue_len if track else np.empty(0),
-            )
-        row = matrix[type_list[0]]  # single family: one shared row
-        if n_instances == 1:
-            out = lindley_single(arrivals, row, track)
-            if out is None:
-                return None
-            starts, finishes, busy_total, queue_len = out
-            chosen = np.zeros(n, dtype=np.int64)
-            busy = np.array([busy_total], dtype=float)
-            makespan = float(finishes[-1]) if n else 0.0
-        else:
-            starts, chosen, busy, queue_len, makespan = homogeneous_pool(
-                arrivals, row, n_instances, track
-            )
-        wait_s = starts - arrivals
-        latency_s = wait_s + row
-        return SimulationResult(
-            latency_s=latency_s,
-            wait_s=wait_s,
-            # Copied, not the matrix-row view: a memoized result must not
-            # pin the whole multi-family matrix (nor undercount its bytes).
-            service_s=row.copy(),
-            instance_index=chosen,
-            instance_family=instance_family,
-            busy_s_per_instance=busy,
-            makespan_s=makespan,
-            queue_len_at_arrival=queue_len if track else np.empty(0),
-        )
-
-    def _run_linear(
-        self,
-        arrival_list: list[float],
-        service_rows: list[list[float]],
-        type_list: list[int],
-        n_instances: int,
-    ):
-        """O(n·m) scalar scan; fastest below the heap crossover."""
-        track = self._track_queue
-        if n_instances == 1:
-            return self._run_single(arrival_list, service_rows[type_list[0]])
-        rows = [service_rows[t] for t in type_list]
-        free_list = [0.0] * n_instances
-        busy = [0.0] * n_instances
-        starts: list[float] = []
-        services: list[float] = []
-        chosen: list[int] = []
-        queue_len: list[int] = []
-        # Queries before this pointer have started by the current arrival
-        # time (starts are monotone under FCFS, so one pointer suffices).
-        started = 0
-        # Bound methods: the loop body runs hundreds of thousands of times
-        # per search, where attribute lookups are a measurable cost.
-        starts_append = starts.append
-        services_append = services.append
-        chosen_append = chosen.append
-        queue_append = queue_len.append
-        for q, t in enumerate(arrival_list):
-            # First free instance in type order, else earliest-free.
-            best_i = 0
-            best_free = free_list[0]
-            found_free = best_free <= t
-            if not found_free:
-                for i in range(1, n_instances):
-                    f = free_list[i]
-                    if f <= t:
-                        best_i, found_free = i, True
-                        break
-                    if f < best_free:
-                        best_i, best_free = i, f
-            start = t if found_free else best_free
-            s = rows[best_i][q]
-            free_list[best_i] = start + s
-            busy[best_i] += s
-            starts_append(start)
-            services_append(s)
-            chosen_append(best_i)
-            if track:
-                # Queries that arrived earlier but have not started yet.
-                while started < q and starts[started] <= t:
-                    started += 1
-                queue_append(q - started)
-        makespan = float(max(free_list)) if arrival_list else 0.0
-        return starts, services, chosen, busy, queue_len, makespan
-
-    def _run_single(self, arrival_list: list[float], row: list[float]):
-        """Single-instance pools: dispatch degenerates to one clock."""
-        track = self._track_queue
-        free = 0.0
-        total_busy = 0.0
-        starts: list[float] = []
-        services: list[float] = []
-        queue_len: list[int] = []
-        started = 0
-        starts_append = starts.append
-        services_append = services.append
-        queue_append = queue_len.append
-        for q, t in enumerate(arrival_list):
-            start = t if free <= t else free
-            s = row[q]
-            free = start + s
-            total_busy += s
-            starts_append(start)
-            services_append(s)
-            if track:
-                while started < q and starts[started] <= t:
-                    started += 1
-                queue_append(q - started)
-        makespan = free if arrival_list else 0.0
-        return starts, services, [0] * len(arrival_list), [total_busy], queue_len, makespan
-
+    # -- Python fallback ---------------------------------------------------
     def _run_heap(
         self,
         arrival_list: list[float],
         service_rows: list[list[float]],
         type_list: list[int],
-        n_instances: int,
     ):
-        """O(n log m) heap dispatch; bit-identical to the linear scan.
+        """O(n log m) heap dispatch; bit-identical to the native scan.
 
         ``free`` holds indices of instances with ``free_at <= t`` (min-heap
         => lowest index => type-order preference).  ``busy_heap`` holds
         ``(free_at, index)`` pairs; its top is the earliest-free instance
-        with the lowest-index tie-break — exactly the linear scan's argmin.
+        with the lowest-index tie-break — exactly the native scan's argmin.
         """
         track = self._track_queue
+        n_instances = len(type_list)
         rows = [service_rows[t] for t in type_list]
         free = list(range(n_instances))
         heapify(free)

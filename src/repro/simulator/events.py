@@ -12,7 +12,6 @@ workloads, which guards the fast engine's reduction argument.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 
 import numpy as np
@@ -26,6 +25,10 @@ from repro.workload.trace import QueryTrace
 # Event kinds, ordered so that at equal timestamps instance completions are
 # processed before new arrivals (a query arriving exactly when an instance
 # frees up finds it free — matching the fast engine's `free_at <= t` test).
+# Within a kind, events at equal timestamps run in index order (instance
+# index for completions, query index for arrivals): when several instances
+# free up at once while queries wait, the lowest-index instance takes the
+# head of the queue, the policy's tie-break.
 _COMPLETION = 0
 _ARRIVAL = 1
 
@@ -71,12 +74,9 @@ class EventHeapSimulator:
         heapq.heapify(free)
         waiting: deque[int] = deque()
 
-        counter = itertools.count()  # tie-breaker for heap stability
-        events: list[tuple[float, int, int, int]] = []
+        events: list[tuple[float, int, int]] = []
         for q in range(n):
-            heapq.heappush(
-                events, (float(trace.arrival_s[q]), _ARRIVAL, next(counter), q)
-            )
+            heapq.heappush(events, (float(trace.arrival_s[q]), _ARRIVAL, q))
 
         def start_query(q: int, now: float) -> None:
             inst = heapq.heappop(free)
@@ -85,11 +85,11 @@ class EventHeapSimulator:
             service_s[q] = s
             chosen[q] = inst
             busy[inst] += s
-            heapq.heappush(events, (now + s, _COMPLETION, next(counter), inst))
+            heapq.heappush(events, (now + s, _COMPLETION, inst))
 
         makespan = 0.0
         while events:
-            t, kind, _, payload = heapq.heappop(events)
+            t, kind, payload = heapq.heappop(events)
             if kind == _COMPLETION:
                 makespan = max(makespan, t)
                 heapq.heappush(free, payload)

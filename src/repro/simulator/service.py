@@ -89,19 +89,18 @@ class ServiceTimeCache(IdentityKeyedCache):
     def __init__(self, maxsize: int = 128):
         super().__init__(maxsize)
         # Lazily materialized list-of-lists views of cached matrices and
-        # per-trace arrival lists: the scalar dispatch loop runs on plain
-        # python lists, and the ndarray->list conversion is a measurable
-        # per-evaluation cost.  Consumers must treat them as read-only.
-        # Row views are keyed like _entries (plus a ("means",) suffix for
-        # per-row means) and dropped with their entry via _on_drop_key;
-        # arrival lists are keyed per trace id with their own finalizer.
+        # per-trace arrival lists: the Python dispatch fallback runs on
+        # plain python lists, and the ndarray->list conversion is a
+        # measurable per-evaluation cost.  Consumers must treat them as
+        # read-only.  Row views are keyed like _entries and dropped with
+        # their entry via _on_drop_key; arrival lists are keyed per trace
+        # id with their own finalizer.
         self._rows: dict[tuple, list[list[float]]] = {}
         self._arrivals: dict[int, list[float]] = {}
         self._arrival_finalized_ids: set[int] = set()
 
     def _on_drop_key(self, key: tuple) -> None:
         self._rows.pop(key, None)
-        self._rows.pop(key + ("means",), None)
 
     def matrix(
         self,
@@ -139,13 +138,19 @@ class ServiceTimeCache(IdentityKeyedCache):
         of worker results rests on it.  Returns the canonical cached
         entry (insert-if-absent); a disabled cache passes the matrix
         through.
+
+        Raises ValueError on a shape mismatch or on a non-finite or
+        negative service time (the native dispatch loop reads the matrix
+        as is).
         """
         fams = tuple(families)
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = np.ascontiguousarray(matrix, dtype=float)
         if matrix.shape != (len(fams), len(trace)):
             raise ValueError(
                 f"matrix shape {matrix.shape} != ({len(fams)}, {len(trace)})"
             )
+        if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
+            raise ValueError("service times must be finite and non-negative")
         if matrix.flags.writeable:
             matrix.flags.writeable = False
         if self._maxsize == 0:
@@ -180,31 +185,6 @@ class ServiceTimeCache(IdentityKeyedCache):
                 self._rows.setdefault(key, rows)
                 return self._rows[key]
             return rows
-
-    def row_means(
-        self,
-        model: ModelProfile,
-        trace: QueryTrace,
-        families: tuple[str, ...],
-    ) -> np.ndarray:
-        """Mean service time per family row (used by the dispatch policy)."""
-        fams = tuple(families)
-        key = (id(model), id(trace), fams, "means")
-        with self._lock:
-            hit = self._rows.get(key)
-            if hit is not None:
-                base_key = key[:3]
-                if base_key in self._entries:
-                    self._entries.move_to_end(base_key)
-                return hit  # type: ignore[return-value]
-        means = self.matrix(model, trace, fams).mean(axis=1)
-        means.flags.writeable = False
-        if self._maxsize == 0:
-            return means
-        with self._lock:
-            if (key[0], key[1], fams) in self._entries:
-                self._rows.setdefault(key, means)  # type: ignore[arg-type]
-            return means
 
     def arrival_list(self, trace: QueryTrace) -> list[float]:
         """``trace.arrival_s.tolist()``, cached per trace object."""

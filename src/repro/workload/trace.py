@@ -31,7 +31,8 @@ class QueryTrace:
     Attributes
     ----------
     arrival_s:
-        Sorted arrival timestamps in seconds, shape ``(n,)``.
+        Sorted, finite, non-negative arrival timestamps in seconds, shape
+        ``(n,)``.
     batch_sizes:
         Integer batch size of each query, shape ``(n,)``.
     rate_qps:
@@ -54,11 +55,15 @@ class QueryTrace:
             raise ValueError(
                 f"arrival/batch length mismatch: {arr.shape} vs {bat.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("arrival times must be finite")
         if arr.size and np.any(np.diff(arr) < 0):
             raise ValueError("arrival times must be sorted non-decreasing")
+        if arr.size and arr[0] < 0:
+            raise ValueError("arrival times must be non-negative")
         if np.any(bat < 1):
             raise ValueError("batch sizes must be >= 1")
-        object.__setattr__(self, "arrival_s", arr)
+        object.__setattr__(self, "arrival_s", np.ascontiguousarray(arr))
         object.__setattr__(self, "batch_sizes", bat)
 
     def __len__(self) -> int:

@@ -3,19 +3,24 @@
 The fast engine relies on a reduction argument (service time independent of
 dispatch instant => one pass in arrival order is exact).  These property
 tests assert both engines produce identical per-query latencies on random
-workloads and pools, including with service-time noise.
+workloads and pools, including with service-time noise.  Every check runs
+the fast engine under each dispatch policy (the native loop under
+``auto``, the Python heap loop under ``python``).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.engine import InferenceServingSimulator
+from repro.simulator.engine import InferenceServingSimulator, native_available
 from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from repro.workload.trace import QueryTrace
 from tests.conftest import make_toy_model
+
+
+DISPATCHES = InferenceServingSimulator.DISPATCH_POLICIES
 
 
 def fast_sim(model, **kwargs) -> InferenceServingSimulator:
@@ -52,11 +57,14 @@ def test_engines_agree_on_random_workloads(seed, n, g, t):
     model = make_toy_model()
     trace = random_trace(seed, n)
     pool = PoolConfiguration(("g4dn", "t3"), (g, t))
-    fast = fast_sim(model).simulate(trace, pool)
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    np.testing.assert_allclose(fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(fast.wait_s, ref.wait_s, rtol=1e-12, atol=1e-12)
-    assert fast.makespan_s == ref.makespan_s
+    for dispatch in DISPATCHES:
+        fast = fast_sim(model, dispatch=dispatch).simulate(trace, pool)
+        np.testing.assert_allclose(
+            fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12
+        )
+        np.testing.assert_allclose(fast.wait_s, ref.wait_s, rtol=1e-12, atol=1e-12)
+        assert fast.makespan_s == ref.makespan_s
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -65,9 +73,12 @@ def test_engines_agree_with_noise(seed):
     model = make_toy_model(noise={"g4dn": 0.1, "t3": 0.25})
     trace = random_trace(seed, 200)
     pool = PoolConfiguration(("g4dn", "t3"), (2, 3))
-    fast = fast_sim(model).simulate(trace, pool)
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    np.testing.assert_allclose(fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12)
+    for dispatch in DISPATCHES:
+        fast = fast_sim(model, dispatch=dispatch).simulate(trace, pool)
+        np.testing.assert_allclose(
+            fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12
+        )
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -76,35 +87,42 @@ def test_engines_agree_on_queue_lengths(seed):
     model = make_toy_model()
     trace = random_trace(seed, 250)
     pool = PoolConfiguration(("g4dn", "t3"), (1, 1))  # overloaded -> queueing
-    fast = fast_sim(model, track_queue=True).simulate(trace, pool)
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    np.testing.assert_array_equal(fast.queue_len_at_arrival, ref.queue_len_at_arrival)
+    for dispatch in DISPATCHES:
+        fast = fast_sim(model, track_queue=True, dispatch=dispatch).simulate(
+            trace, pool
+        )
+        np.testing.assert_array_equal(
+            fast.queue_len_at_arrival, ref.queue_len_at_arrival
+        )
 
 
 def test_three_type_pool_equivalence():
     model = make_toy_model()
     trace = random_trace(123, 400)
     pool = PoolConfiguration(("g4dn", "c5", "t3"), (1, 2, 2))
-    fast = fast_sim(model).simulate(trace, pool)
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    np.testing.assert_allclose(fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12)
-    assert fast.queries_per_family() == ref.queries_per_family()
+    for dispatch in DISPATCHES:
+        fast = fast_sim(model, dispatch=dispatch).simulate(trace, pool)
+        np.testing.assert_allclose(
+            fast.latency_s, ref.latency_s, rtol=1e-12, atol=1e-12
+        )
+        assert fast.queries_per_family() == ref.queries_per_family()
 
 
-# -- heap dispatcher: bit-identical to the reference on adversarial pools ------
+# -- both dispatch loops: bit-identical to the reference on adversarial pools --
 
 
 def assert_dispatch_modes_match_reference(model, trace, pool):
-    """Every forced dispatch path must equal the event-heap reference
-    bit-for-bit (``vector`` serves single-instance/homogeneous pools with
-    the shared-row NumPy kernels and heterogeneous pools with the
-    grouped-family fixpoint kernel — every substrate, one contract)."""
+    """Both dispatch loops must equal the event-heap reference
+    bit-for-bit on every result field."""
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    for mode in ("linear", "heap", "vector"):
+    for mode in DISPATCHES:
         sim = fast_sim(model, track_queue=True, dispatch=mode)
         res = sim.simulate(trace, pool)
         np.testing.assert_array_equal(res.latency_s, ref.latency_s, err_msg=mode)
         np.testing.assert_array_equal(res.wait_s, ref.wait_s, err_msg=mode)
+        np.testing.assert_array_equal(res.service_s, ref.service_s, err_msg=mode)
         np.testing.assert_array_equal(
             res.instance_index, ref.instance_index, err_msg=mode
         )
@@ -135,7 +153,7 @@ def test_heap_dispatch_single_instance(seed):
 )
 @settings(max_examples=15, deadline=None)
 def test_heap_dispatch_large_pools(seed, g, c, t):
-    """30+-instance pools, the heap dispatcher's target regime."""
+    """30+-instance pools: the scan's no-free-instance branch dominates."""
     model = make_toy_model(noise={"g4dn": 0.05, "c5": 0.1, "t3": 0.2})
     trace = random_trace(seed, 300)
     assert_dispatch_modes_match_reference(
@@ -174,16 +192,17 @@ def test_heap_dispatch_heavy_saturation(seed):
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=10, deadline=None)
 def test_vector_hetero_matches_event_reference(seed):
-    """The grouped-family kernel against the *event-driven* reference —
-    not just the heap — with the counters proving it actually ran."""
+    """``auto`` on a mixed pool against the *event-driven* reference, with
+    the counters proving which loop actually ran (the native one whenever
+    it is available)."""
     model = make_toy_model(noise={"g4dn": 0.1, "c5": 0.15, "t3": 0.2})
     trace = random_trace(seed, 300)
     pool = PoolConfiguration(("g4dn", "c5", "t3"), (5, 4, 3))
     ref = EventHeapSimulator(model).simulate(trace, pool)
-    sim = fast_sim(model, track_queue=True, dispatch="vector")
+    sim = fast_sim(model, track_queue=True)
     res = sim.simulate(trace, pool)
-    counts = sim.dispatch_counts
-    assert counts["vector_hetero"] == 1 and counts["vector_fallback"] == 0
+    path = "native" if native_available() else "python"
+    assert sim.dispatch_counts == {"native": 0, "python": 0, path: 1}
     np.testing.assert_array_equal(res.latency_s, ref.latency_s)
     np.testing.assert_array_equal(res.instance_index, ref.instance_index)
     np.testing.assert_array_equal(
@@ -197,14 +216,14 @@ def test_auto_dispatch_equals_forced_paths(toy_model, toy_trace):
     auto = fast_sim(toy_model, dispatch="auto").simulate(
         toy_trace, pool
     )
-    linear = fast_sim(toy_model, dispatch="linear").simulate(
+    python = fast_sim(toy_model, dispatch="python").simulate(
         toy_trace, pool
     )
-    np.testing.assert_array_equal(auto.latency_s, linear.latency_s)
+    np.testing.assert_array_equal(auto.latency_s, python.latency_s)
 
 
 def test_invalid_dispatch_mode_rejected(toy_model):
     import pytest
 
-    with pytest.raises(ValueError, match="'vector'"):
+    with pytest.raises(ValueError, match="'python'"):
         InferenceServingSimulator(toy_model, dispatch="quantum")

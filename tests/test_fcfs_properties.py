@@ -2,6 +2,8 @@
 
 These pin behaviours that follow from the *definition* of the policy, not
 from the implementation — a refactor of either engine must preserve them.
+Every property is checked under each dispatch policy (the native loop
+under ``auto``, the Python heap loop under ``python``).
 """
 
 import dataclasses
@@ -14,8 +16,18 @@ from hypothesis import strategies as st
 from repro.models.base import LatencyProfile
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.pool import PoolConfiguration
+from repro.simulator.result_cache import SimulationResultCache
 from repro.workload.trace import QueryTrace
 from tests.conftest import make_toy_model, make_toy_trace
+
+DISPATCHES = InferenceServingSimulator.DISPATCH_POLICIES
+
+
+def simulate(model, trace, pool, dispatch):
+    """One fresh simulation (memo off, so each policy really dispatches)."""
+    return InferenceServingSimulator(
+        model, dispatch=dispatch, result_cache=SimulationResultCache(maxsize=0)
+    ).simulate(trace, pool)
 
 
 def random_trace(seed: int, n: int, rate: float = 300.0) -> QueryTrace:
@@ -36,16 +48,17 @@ class TestSingleServerRecurrence:
     def test_matches_lindley_recurrence(self, seed, n):
         model = make_toy_model()
         trace = random_trace(seed, n)
-        res = InferenceServingSimulator(model).simulate(
-            trace, PoolConfiguration.homogeneous("g4dn", 1)
-        )
         service = np.asarray(model.service_time_s("g4dn", trace.batch_sizes))
-        finish = 0.0
-        for i in range(n):
-            start = max(float(trace.arrival_s[i]), finish)
-            finish = start + float(service[i])
-            expected = finish - float(trace.arrival_s[i])
-            assert res.latency_s[i] == pytest.approx(expected, rel=1e-12)
+        for dispatch in DISPATCHES:
+            res = simulate(
+                model, trace, PoolConfiguration.homogeneous("g4dn", 1), dispatch
+            )
+            finish = 0.0
+            for i in range(n):
+                start = max(float(trace.arrival_s[i]), finish)
+                finish = start + float(service[i])
+                expected = finish - float(trace.arrival_s[i])
+                assert res.latency_s[i] == pytest.approx(expected, rel=1e-12)
 
 
 class TestTimeRescaling:
@@ -66,13 +79,12 @@ class TestTimeRescaling:
             trace.arrival_s * c, trace.batch_sizes, trace.rate_qps / c, trace.seed
         )
         pool = PoolConfiguration(("g4dn", "t3"), (2, 2))
-        base = InferenceServingSimulator(model).simulate(trace, pool)
-        scaled = InferenceServingSimulator(scaled_model).simulate(
-            scaled_trace, pool
-        )
-        np.testing.assert_allclose(
-            scaled.latency_s, base.latency_s * c, rtol=1e-9
-        )
+        for dispatch in DISPATCHES:
+            base = simulate(model, trace, pool, dispatch)
+            scaled = simulate(scaled_model, scaled_trace, pool, dispatch)
+            np.testing.assert_allclose(
+                scaled.latency_s, base.latency_s * c, rtol=1e-9
+            )
 
 
 class TestWorkConservation:
@@ -84,16 +96,17 @@ class TestWorkConservation:
         model = make_toy_model()
         trace = random_trace(seed, 200)
         pool = PoolConfiguration(("g4dn", "t3"), (1, 2))
-        res = InferenceServingSimulator(model).simulate(trace, pool)
-        # A query that waited must have found every instance busy at its
-        # arrival: its start equals some other query's finish time.
-        starts = trace.arrival_s + res.wait_s
-        finishes = starts + res.service_s
-        waited = res.wait_s > 1e-12
-        for q in np.flatnonzero(waited):
-            assert np.any(
-                np.isclose(starts[q], finishes[:q], rtol=0, atol=1e-12)
-            ), f"query {q} waited but started at no completion instant"
+        for dispatch in DISPATCHES:
+            res = simulate(model, trace, pool, dispatch)
+            # A query that waited must have found every instance busy at
+            # its arrival: its start equals some other query's finish time.
+            starts = trace.arrival_s + res.wait_s
+            finishes = starts + res.service_s
+            waited = res.wait_s > 1e-12
+            for q in np.flatnonzero(waited):
+                assert np.any(
+                    np.isclose(starts[q], finishes[:q], rtol=0, atol=1e-12)
+                ), f"query {q} waited but started at no completion instant"
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=20, deadline=None)
@@ -101,36 +114,33 @@ class TestWorkConservation:
         model = make_toy_model()
         trace = random_trace(seed, 200)
         pool = PoolConfiguration(("g4dn", "t3"), (2, 1))
-        res = InferenceServingSimulator(model).simulate(trace, pool)
-        assert res.busy_s_per_instance.max() <= res.makespan_s + 1e-12
+        for dispatch in DISPATCHES:
+            res = simulate(model, trace, pool, dispatch)
+            assert res.busy_s_per_instance.max() <= res.makespan_s + 1e-12
 
 
 class TestQoSMonotonicity:
     def test_rate_monotone_in_latency_target(self, toy_model):
         trace = make_toy_trace(toy_model, n=400)
-        res = InferenceServingSimulator(toy_model).simulate(
-            trace, PoolConfiguration(("g4dn", "t3"), (1, 1))
-        )
-        rates = [res.qos_satisfaction_rate(t) for t in (5.0, 10.0, 20.0, 50.0)]
-        assert rates == sorted(rates)
+        for dispatch in DISPATCHES:
+            res = simulate(
+                toy_model, trace, PoolConfiguration(("g4dn", "t3"), (1, 1)), dispatch
+            )
+            rates = [res.qos_satisfaction_rate(t) for t in (5.0, 10.0, 20.0, 50.0)]
+            assert rates == sorted(rates)
 
     def test_prices_never_affect_serving(self, toy_model):
         """The simulator must be oblivious to prices — only the optimizer
         sees cost."""
-        from repro.simulator.result_cache import SimulationResultCache
-
         trace = make_toy_trace(toy_model, n=300)
         pool = PoolConfiguration(("g4dn", "t3"), (1, 2))
         # Memo disabled: the second run must actually re-simulate for the
         # repeatability comparison to mean anything.
-        a = InferenceServingSimulator(
-            toy_model, result_cache=SimulationResultCache(maxsize=0)
-        ).simulate(trace, pool)
-        b = InferenceServingSimulator(
-            toy_model, result_cache=SimulationResultCache(maxsize=0)
-        ).simulate(trace, pool)
-        assert a is not b
-        np.testing.assert_array_equal(a.latency_s, b.latency_s)
+        for dispatch in DISPATCHES:
+            a = simulate(toy_model, trace, pool, dispatch)
+            b = simulate(toy_model, trace, pool, dispatch)
+            assert a is not b
+            np.testing.assert_array_equal(a.latency_s, b.latency_s)
 
 
 class TestLoadMonotonicity:
@@ -143,8 +153,9 @@ class TestLoadMonotonicity:
         trace = random_trace(seed, 300)
         head = trace.head(150)
         pool = PoolConfiguration(("g4dn", "t3"), (1, 1))
-        full = InferenceServingSimulator(model).simulate(trace, pool)
-        short = InferenceServingSimulator(model).simulate(head, pool)
-        np.testing.assert_allclose(
-            full.latency_s[:150], short.latency_s, rtol=1e-12
-        )
+        for dispatch in DISPATCHES:
+            full = simulate(model, trace, pool, dispatch)
+            short = simulate(model, head, pool, dispatch)
+            np.testing.assert_allclose(
+                full.latency_s[:150], short.latency_s, rtol=1e-12
+            )

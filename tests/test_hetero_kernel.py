@@ -1,33 +1,45 @@
-"""The grouped-family heterogeneous kernel's exactness contract.
+"""The native loop at its raw boundary, and ``auto``'s engagement.
 
-:func:`repro.simulator.hetero_kernel.heterogeneous_pool` claims bit
-identity with the scalar FCFS dispatchers on *every* mixed-family pool:
-the labelled pop-multiset fixpoint either certifies a saturated block
-exactly or drops to exact scalar steps, so no input can make it drift.
-These tests attack that claim directly at the kernel boundary with a
-differential oracle (a deliberately naive scalar loop implementing the
-engine's dispatch rule), driving adversarial regimes the certification
-screens exist for: arrival ties across family boundaries, equal service
-times in every family, zero-latency families, quantized services that
-tie finish clocks, and bursty clumped arrival laws.
+:func:`repro.simulator._native.fcfs_dispatch` claims bit identity with the
+engine's FCFS rule on every pool.  These tests attack that claim at the
+wrapper boundary with a differential oracle (a deliberately naive scalar
+loop implementing the dispatch rule), driving the adversarial regimes
+that once stressed the grouped-family vector kernel: arrival ties across
+family boundaries, equal service times in every family, zero-latency
+families, quantized services that tie finish clocks, and bursty clumped
+arrival laws.
 
-Engine-level engagement is covered too: ``auto`` must run the kernel
-past the measured pool-size crossover and count
-``vector_fallback_crossover`` below it, a kernel bail-out must surface
-as ``vector_fallback_tie_screen`` while still returning the exact heap
-result, and the closed legacy reason ``vector_fallback_hetero`` must
-stay zero forever.
+Engine-level engagement is covered too: ``auto`` runs the native loop on
+pools of every size (there is no crossover), falls back to the Python
+loop with identical results when the library is unavailable, and the
+counters carry exactly the two loop names.
 """
 
 import numpy as np
 import pytest
 
+from repro.simulator import _native
 from repro.simulator.engine import InferenceServingSimulator
-from repro.simulator.hetero_kernel import heterogeneous_pool
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
 from repro.workload.trace import QueryTrace
 from tests.conftest import make_toy_model
+from tests.test_native_dispatch import assert_identical, expected_path
+
+
+def native_fn():
+    fn = _native.LOADER.function()
+    if fn is None:
+        pytest.skip(f"native loop unavailable: {_native.LOADER.error}")
+    return fn
+
+
+def heterogeneous_pool(arrivals, matrix, fam, track_queue):
+    """The native loop on raw arrays, outputs in the reference's order."""
+    start, service, _, _, chosen, busy, queue_len, makespan = _native.fcfs_dispatch(
+        native_fn(), arrivals, matrix, fam, track_queue
+    )
+    return start, chosen, service, busy, queue_len, makespan
 
 
 def scalar_reference(arrivals, matrix, fam):
@@ -57,7 +69,7 @@ def scalar_reference(arrivals, matrix, fam):
 def random_case(rng):
     """One adversarial differential trial: 2-5 families, 1-8 instances
     each, an arrival law and a service-matrix style drawn to maximize
-    tie pressure on the certification screens."""
+    tie pressure on the dispatch tie-breaks."""
     n_fam = int(rng.integers(2, 6))
     counts = rng.integers(1, 9, size=n_fam)
     fam = np.repeat(np.arange(n_fam), counts)
@@ -89,9 +101,9 @@ def test_kernel_matches_scalar_reference(seed):
     rng = np.random.default_rng(1000 + seed)
     for _ in range(15):
         arrivals, matrix, fam = random_case(rng)
-        out = heterogeneous_pool(arrivals, matrix, fam, True)
-        assert out is not None
-        starts, chosen, service_s, busy, queue_len, makespan = out
+        starts, chosen, service_s, busy, queue_len, makespan = heterogeneous_pool(
+            arrivals, matrix, fam, True
+        )
         ref_starts, ref_chosen = scalar_reference(arrivals, matrix, fam)
         np.testing.assert_array_equal(starts, ref_starts)
         np.testing.assert_array_equal(chosen, ref_chosen)
@@ -130,20 +142,16 @@ def test_kernel_single_query():
 
 
 def test_kernel_rejects_negative_first_arrival():
-    """The only input outside the kernel's domain: the scalar loops'
-    idle clocks start at 0.0, so a negative arrival dispatches
-    differently there and the kernel must hand the trace back."""
-    arrivals = np.array([-1.0, 0.5])
-    matrix = np.full((2, 2), 0.1)
-    fam = np.array([0, 1], dtype=np.int64)
-    assert heterogeneous_pool(arrivals, matrix, fam, True) is None
+    """Instance clocks start at 0.0, so a negative arrival is outside the
+    dispatch domain: traces reject it at construction."""
+    with pytest.raises(ValueError, match="non-negative"):
+        QueryTrace(np.array([-1.0, 0.5]), np.array([1, 1]), rate_qps=1.0)
 
 
 def test_kernel_skips_queue_lengths_when_untracked():
     rng = np.random.default_rng(7)
     arrivals, matrix, fam = random_case(rng)
-    out = heterogeneous_pool(arrivals, matrix, fam, False)
-    assert out is not None and out[4].size == 0
+    assert heterogeneous_pool(arrivals, matrix, fam, False)[4] is None
 
 
 # -- engine engagement and fallback telemetry ----------------------------------
@@ -163,87 +171,70 @@ def saturating_trace(n: int) -> QueryTrace:
 
 
 def test_auto_engages_hetero_kernel_past_crossover():
-    """A saturated 72-instance three-family pool sits past the measured
-    ``_VECTOR_HETERO_MIN_POOL`` floor: ``auto`` must run the kernel and
-    the result must be bit-identical to the heap."""
+    """A saturated 72-instance three-family pool: ``auto`` runs the native
+    loop and the result is bit-identical to the Python loop."""
     model = make_toy_model()
     pool = PoolConfiguration(("g4dn", "t3", "c5"), (24, 24, 24))
     trace = saturating_trace(200)
     s = sim(model, "auto")
     res = s.simulate(trace, pool)
-    counts = s.dispatch_counts
-    assert counts["vector_hetero"] == 1
-    assert counts["vector_fallback"] == 0
-    ref = sim(model, "heap").simulate(trace, pool)
-    np.testing.assert_array_equal(res.latency_s, ref.latency_s)
-    np.testing.assert_array_equal(res.instance_index, ref.instance_index)
-    np.testing.assert_array_equal(
-        res.busy_s_per_instance, ref.busy_s_per_instance
-    )
+    path = expected_path()
+    assert s.dispatch_counts == {"native": 0, "python": 0, path: 1}
+    assert_identical(res, sim(model, "python").simulate(trace, pool))
 
 
 def test_auto_counts_crossover_fallbacks_below_the_floor():
-    """Saturated, kernel-shaped, enough queries — but too few instances:
-    both pool flavors must record ``vector_fallback_crossover`` and stay
-    on the scalar substrate."""
+    """No pool-size floor any more: small saturated pools of both flavors
+    run the same loop as big ones."""
     model = make_toy_model()
     trace = saturating_trace(100)
     s = sim(model, "auto")
     s.simulate(trace, PoolConfiguration(("g4dn", "t3"), (2, 2)))
     s.simulate(trace, PoolConfiguration.homogeneous("t3", 8))
-    counts = s.dispatch_counts
-    assert counts["vector"] == 0 and counts["vector_hetero"] == 0
-    assert counts["heap"] == 2
-    assert counts["vector_fallback_crossover"] == 2
-    assert counts["vector_fallback"] == 2
+    path = expected_path()
+    assert s.dispatch_counts == {"native": 0, "python": 0, path: 2}
 
 
-def test_tie_screen_fallback_still_returns_exact_heap_result():
-    """A negative first arrival is outside the kernel's domain: forced
-    vector must count a ``tie_screen`` abandonment, rerun on the heap,
-    and return exactly what the heap returns."""
+class _Unavailable:
+    error = "OSError: no library"
+
+    def function(self):
+        return None
+
+
+def test_tie_screen_fallback_still_returns_exact_heap_result(monkeypatch):
+    """With the native library unavailable, ``auto`` counts a Python run
+    and returns exactly what the Python loop returns."""
     model = make_toy_model()
-    arrivals = np.array([-0.25, 0.0, 0.001, 0.002])
-    batches = np.full(4, 30, dtype=np.int64)
-    trace = QueryTrace(arrivals, batches, rate_qps=100.0, seed=1)
+    trace = saturating_trace(60)
     pool = PoolConfiguration(("g4dn", "t3"), (1, 1))
-    s = sim(model, "vector")
+    native = sim(model, "auto").simulate(trace, pool)
+    monkeypatch.setattr(_native, "LOADER", _Unavailable())
+    s = sim(model, "auto")
     res = s.simulate(trace, pool)
-    counts = s.dispatch_counts
-    assert counts["vector_fallback_tie_screen"] == 1
-    assert counts["vector_fallback"] == 1
-    assert counts["heap"] == 1 and counts["vector_hetero"] == 0
-    ref = sim(model, "heap").simulate(trace, pool)
-    np.testing.assert_array_equal(res.latency_s, ref.latency_s)
-    np.testing.assert_array_equal(res.instance_index, ref.instance_index)
+    assert s.dispatch_counts == {"native": 0, "python": 1}
+    assert_identical(res, native)
 
 
 def test_fallback_aggregate_is_the_sum_of_reasons():
+    """The counters hold exactly the two loops, and they sum to the
+    simulations dispatched."""
     model = make_toy_model()
     trace = saturating_trace(100)
     s = sim(model, "auto")
     s.simulate(trace, PoolConfiguration(("g4dn", "t3"), (3, 3)))
     s.simulate(trace, PoolConfiguration(("g4dn", "t3", "c5"), (24, 24, 24)))
     counts = s.dispatch_counts
-    reasons = [k for k in counts if k.startswith("vector_fallback_")]
-    assert counts["vector_fallback"] == sum(counts[r] for r in reasons)
-    # The pre-kernel heterogeneous-pool reason is closed: never counted.
-    assert counts["vector_fallback_hetero"] == 0
+    assert set(counts) == {"native", "python"}
+    assert sum(counts.values()) == 2
 
 
 def test_merge_dispatch_accepts_the_reason_keys():
-    """Worker-process deltas carry the split reasons; merging them must
-    land on the same counters local dispatch would."""
+    """Worker-process deltas land on the same counters local dispatch
+    would; the retired kernel paths are unknown and rejected."""
     model = make_toy_model()
     s = sim(model, "auto")
-    s.merge_dispatch(
-        {
-            "vector_hetero": 2,
-            "vector_fallback": 1,
-            "vector_fallback_tie_screen": 1,
-        }
-    )
-    counts = s.dispatch_counts
-    assert counts["vector_hetero"] == 2
-    assert counts["vector_fallback"] == 1
-    assert counts["vector_fallback_tie_screen"] == 1
+    s.merge_dispatch({"native": 2, "python": 1})
+    assert s.dispatch_counts == {"native": 2, "python": 1}
+    with pytest.raises(ValueError, match="vector_hetero"):
+        s.merge_dispatch({"vector_hetero": 1})

@@ -229,7 +229,9 @@ class TestConfig:
 
     def test_repo_pyproject_parses(self):
         config = load_config(REPO_ROOT / "pyproject.toml")
-        assert "duration_s" in config.cache_key_exempt
+        assert "service_time_s" in config.cache_key_exempt
+        # No dispatch path reads the trace duration any more.
+        assert "duration_s" not in config.cache_key_exempt
 
 
 class TestCli:

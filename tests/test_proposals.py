@@ -423,7 +423,7 @@ class TestEvaluateBatch:
         pools = [space.pool(v) for v in [(1, 0), (0, 3), (2, 1), (3, 2)]]
         evaluator.evaluate_many(pools, parallel=True)
         counts = counters.snapshot()
-        dispatched = counts["linear"] + counts["heap"] + counts["vector"]
+        dispatched = counts["native"] + counts["python"]
         assert dispatched == len(pools)
 
     def test_rejects_foreign_families_upfront(self):

@@ -7,7 +7,9 @@ how fast it does it.  These tests pin that contract:
 * the benchmark workload's golden best pools and sample sequences (recorded
   in ``BENCH_search_core.json`` from the pre-rewrite code) are reproduced
   exactly;
-* searches are invariant to cache sharing and dispatch path;
+* searches are invariant to cache sharing and dispatch path (both the
+  native loop under ``auto`` and the Python loop under ``python`` replay
+  the goldens);
 * the opt-in ``refit_period > 1`` fast schedule still finds the optimum.
 """
 
@@ -20,6 +22,7 @@ from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
 from repro.core.optimizer import RibbonOptimizer
 from repro.core.search_space import SearchSpace
+from repro.simulator.engine import native_available
 from repro.simulator.result_cache import SimulationResultCache
 from repro.simulator.service import ServiceTimeCache
 from tests.conftest import make_toy_model, make_toy_trace
@@ -44,6 +47,38 @@ def run_search(model, trace, space, objective, seed, **kwargs):
     return RibbonOptimizer(max_samples=25, seed=seed, **kwargs).search(evaluator)
 
 
+def replay_bench_golden(bench_golden, seed, dispatch):
+    """Re-run one recorded bench search under ``dispatch`` (memo off, so
+    every sample really dispatches) and check it against the golden."""
+    from repro.models.zoo import get_model
+    from repro.workload.trace import trace_for_model
+
+    spec, golden = bench_golden
+    model = get_model(spec["model"])
+    trace = trace_for_model(
+        model,
+        n_queries=spec["n_queries"],
+        seed=spec["trace_seed"],
+        load_factor=spec["load_factor"],
+    )
+    space = SearchSpace(tuple(spec["families"]), tuple(spec["bounds"]))
+    evaluator = ConfigurationEvaluator(
+        model,
+        trace,
+        RibbonObjective(space),
+        result_cache=SimulationResultCache(maxsize=0),
+        dispatch=dispatch,
+    )
+    res = RibbonOptimizer(max_samples=spec["max_samples"], seed=seed).search(
+        evaluator
+    )
+    expected = golden[str(seed)]
+    assert res.best is not None
+    assert list(res.best.pool.counts) == expected["best"]
+    assert [list(r.pool.counts) for r in res.history] == expected["sequence"]
+    return evaluator.simulator.dispatch_counts, evaluator.n_evaluations
+
+
 class TestGoldenSequences:
     """Bench-workload sequences recorded before the rewrite, replayed after."""
 
@@ -54,64 +89,20 @@ class TestGoldenSequences:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bench_workload_sequence_identical(self, bench_golden, seed):
-        from repro.models.zoo import get_model
-        from repro.workload.trace import trace_for_model
-
-        spec, golden = bench_golden
-        model = get_model(spec["model"])
-        trace = trace_for_model(
-            model,
-            n_queries=spec["n_queries"],
-            seed=spec["trace_seed"],
-            load_factor=spec["load_factor"],
-        )
-        space = SearchSpace(tuple(spec["families"]), tuple(spec["bounds"]))
-        evaluator = ConfigurationEvaluator(model, trace, RibbonObjective(space))
-        res = RibbonOptimizer(max_samples=spec["max_samples"], seed=seed).search(
-            evaluator
-        )
-        expected = golden[str(seed)]
-        assert res.best is not None
-        assert list(res.best.pool.counts) == expected["best"]
-        assert [list(r.pool.counts) for r in res.history] == expected["sequence"]
+        """The goldens under ``auto``: the native loop serves every sample
+        whenever it is available."""
+        counts, n = replay_bench_golden(bench_golden, seed, "auto")
+        path = "native" if native_available() else "python"
+        assert counts[path] == n
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bench_sequence_identical_under_hetero_vector_dispatch(
         self, bench_golden, seed
     ):
-        """The same golden sequences, re-run with every heterogeneous
-        sample forced through the grouped-family vector kernel: the
-        search must visit the exact recorded pools, and the counters
-        must show the kernel actually served the mixed-family samples."""
-        from repro.models.zoo import get_model
-        from repro.workload.trace import trace_for_model
-
-        spec, golden = bench_golden
-        model = get_model(spec["model"])
-        trace = trace_for_model(
-            model,
-            n_queries=spec["n_queries"],
-            seed=spec["trace_seed"],
-            load_factor=spec["load_factor"],
-        )
-        space = SearchSpace(tuple(spec["families"]), tuple(spec["bounds"]))
-        evaluator = ConfigurationEvaluator(
-            model,
-            trace,
-            RibbonObjective(space),
-            result_cache=SimulationResultCache(maxsize=0),
-            dispatch="vector",
-        )
-        res = RibbonOptimizer(max_samples=spec["max_samples"], seed=seed).search(
-            evaluator
-        )
-        expected = golden[str(seed)]
-        assert res.best is not None
-        assert list(res.best.pool.counts) == expected["best"]
-        assert [list(r.pool.counts) for r in res.history] == expected["sequence"]
-        counts = evaluator.simulator.dispatch_counts
-        assert counts["vector_hetero"] > 0
-        assert counts["vector_fallback_hetero"] == 0
+        """The same goldens with every sample, mixed-family ones included,
+        forced through the Python loop."""
+        counts, n = replay_bench_golden(bench_golden, seed, "python")
+        assert counts == {"native": 0, "python": n}
 
 
 class TestInvariances:

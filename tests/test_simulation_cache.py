@@ -17,6 +17,7 @@ import pytest
 from repro.api import EvaluationBudget, PoolSpec, Scenario, ScenarioRunner, WorkloadSpec
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
+from repro.simulator import _native
 from repro.simulator.engine import InferenceServingSimulator
 from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
@@ -90,10 +91,10 @@ class TestResultMemo:
         assert without_q.queue_len_at_arrival.size == 0
 
     def test_dispatch_path_is_not_part_of_the_key(self, memo, toy_model, toy_trace):
-        # Both paths are bit-identical by contract, so the memo may hand a
-        # linear-scan result to a heap-dispatch simulator.
-        a = make_sim(toy_model, memo, dispatch="linear").simulate(toy_trace, POOL)
-        b = make_sim(toy_model, memo, dispatch="heap").simulate(toy_trace, POOL)
+        # Both loops are bit-identical by contract, so the memo may hand a
+        # native-loop result to a Python-dispatch simulator.
+        a = make_sim(toy_model, memo, dispatch="auto").simulate(toy_trace, POOL)
+        b = make_sim(toy_model, memo, dispatch="python").simulate(toy_trace, POOL)
         assert a is b
 
     def test_distinct_traces_are_distinct_entries(self, memo, toy_model):
@@ -253,7 +254,7 @@ class TestEngineAndEvaluatorWiring:
         def boom(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("dispatch ran despite a memo hit")
 
-        monkeypatch.setattr(sim, "_run_linear", boom)
+        monkeypatch.setattr(_native, "fcfs_dispatch", boom)
         monkeypatch.setattr(sim, "_run_heap", boom)
         assert sim.simulate(toy_trace, POOL) is first
 
@@ -373,13 +374,4 @@ class TestRunManyUnderTheMemo:
             assert {"hits", "misses", "evictions", "size", "maxsize"} <= set(
                 stats[name]
             )
-        assert {
-            "linear",
-            "heap",
-            "vector",
-            "vector_hetero",
-            "vector_fallback",
-            "vector_fallback_hetero",
-            "vector_fallback_crossover",
-            "vector_fallback_tie_screen",
-        } == set(stats["dispatch"])
+        assert {"native", "python"} == set(stats["dispatch"])

@@ -1,20 +1,15 @@
-"""The vector dispatch substrate's bit-identical contract.
+"""Adversarial regression cases for the two dispatch loops.
 
-The NumPy busy-period kernels (:mod:`repro.simulator.vector_kernel`) must
-reproduce the scalar dispatch loops *bit for bit* — every latency, every
-chosen instance index, every busy second, every queue length — on every
-pool shape they serve.  These property tests drive randomized pools and
-traces through the kernel-vs-scalar comparison, pin the adversarial
-regimes called out in the kernels' correctness arguments (saturation,
-idleness, arrival ties, zero service times, single-query traces, 30+
-instance homogeneous pools), and prove that a full search under
-``dispatch="vector"`` returns the same ``SearchResult`` — golden-tested
-against the recorded bench sequences — as the scalar substrates.
-
-Engagement is tested too: the dispatch counters must show the vector
-kernels actually ran where the policy promises them — including the
-grouped-family heterogeneous kernel (``vector_hetero``) — and every
-disengagement must be visible as ``vector_fallback`` plus its reason.
+These cases once pinned the NumPy busy-period kernels that the native
+loop replaced; they now hold the native loop (``dispatch="auto"``) to
+the Python heap loop (``dispatch="python"``) and to the event-heap
+oracle, bit for bit, on every result field: randomized single-instance,
+homogeneous and mixed pools across the load range, idle and saturated
+traces, arrival ties, zero and equal service times, single-query traces
+and bursty clumps.  The engagement and runner-plumbing cases check that
+``auto`` runs the native loop on every pool shape (no size or load
+crossover), that memo hits never count as dispatch, and that full
+searches and the recorded bench goldens are identical on both loops.
 """
 
 import json
@@ -31,12 +26,14 @@ from repro.core.objective import RibbonObjective
 from repro.core.optimizer import RibbonOptimizer
 from repro.core.search_space import SearchSpace
 from repro.models.base import LatencyProfile
+from repro.simulator import _native
 from repro.simulator.engine import InferenceServingSimulator
+from repro.simulator.events import EventHeapSimulator
 from repro.simulator.pool import PoolConfiguration
 from repro.simulator.result_cache import SimulationResultCache
-from repro.simulator.vector_kernel import homogeneous_pool, lindley_single
 from repro.workload.trace import QueryTrace
 from tests.conftest import make_toy_model, make_toy_trace
+from tests.test_native_dispatch import assert_identical, expected_path
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_search_core.json"
 
@@ -61,29 +58,14 @@ def rate_trace(seed: int, n: int, rate: float) -> QueryTrace:
     return QueryTrace(arrivals, batches, rate_qps=rate, seed=seed)
 
 
-def assert_identical(a, b, tag=""):
-    """Every SimulationResult field, bit for bit."""
-    np.testing.assert_array_equal(a.latency_s, b.latency_s, err_msg=f"{tag} latency")
-    np.testing.assert_array_equal(a.wait_s, b.wait_s, err_msg=f"{tag} wait")
-    np.testing.assert_array_equal(a.service_s, b.service_s, err_msg=f"{tag} service")
-    np.testing.assert_array_equal(
-        a.instance_index, b.instance_index, err_msg=f"{tag} instance"
-    )
-    np.testing.assert_array_equal(
-        a.busy_s_per_instance, b.busy_s_per_instance, err_msg=f"{tag} busy"
-    )
-    np.testing.assert_array_equal(
-        a.queue_len_at_arrival, b.queue_len_at_arrival, err_msg=f"{tag} queue"
-    )
-    assert a.makespan_s == b.makespan_s, f"{tag} makespan"
-
-
 def assert_vector_matches_scalar(model, trace, pool):
-    vec = sim(model, "vector").simulate(trace, pool)
-    ref = sim(
-        model, "linear" if pool.total_instances == 1 else "heap"
-    ).simulate(trace, pool)
-    assert_identical(vec, ref, str(pool))
+    """``auto`` (the native loop when available), ``python`` and the
+    event-heap oracle agree on every field."""
+    native = sim(model, "auto").simulate(trace, pool)
+    python = sim(model, "python").simulate(trace, pool)
+    oracle = EventHeapSimulator(model).simulate(trace, pool)
+    assert_identical(native, python, f"{pool} native/python")
+    assert_identical(native, oracle, f"{pool} native/oracle")
 
 
 # -- randomized pools across the load range -----------------------------------
@@ -121,7 +103,7 @@ def test_vector_homogeneous_random_pools(seed, m, rate):
 @settings(max_examples=10, deadline=None)
 def test_vector_large_homogeneous_saturated(seed, m):
     """30+-instance pools under load far beyond capacity: queues thousands
-    deep, the homogeneous kernel's target regime."""
+    deep, so the scan walks the whole pool on every arrival."""
     model = make_toy_model(noise={"g4dn": 0.05, "t3": 0.2, "c5": 0.1})
     trace = rate_trace(seed, 600, 20_000.0)
     assert_vector_matches_scalar(
@@ -163,9 +145,8 @@ def test_vector_arrival_ties():
 
 
 def test_vector_zero_service_times():
-    """A zero-latency profile makes every finish tie its start — the
-    kernels' strict screens must push all of it onto the exact scalar
-    steps without drifting from the reference."""
+    """A zero-latency profile makes every finish tie its start, so the
+    ``free_at <= t`` test decides every dispatch."""
     model = make_toy_model()
     zero_profiles = dict(model.profiles)
     zero_profiles["t3"] = LatencyProfile(0.0, 0.0)
@@ -191,22 +172,27 @@ def test_vector_single_query_trace():
 
 
 def test_vector_kernels_reject_nothing_silently():
-    """Raw kernel edge: empty input arrays."""
-    empty = np.empty(0, dtype=float)
-    starts, finishes, busy, queue = lindley_single(empty, empty, True)
-    assert starts.size == finishes.size == queue.size == 0 and busy == 0.0
-    starts, chosen, busy, queue, makespan = homogeneous_pool(empty, empty, 3, True)
-    assert starts.size == chosen.size == queue.size == 0
-    assert makespan == 0.0 and np.all(busy == 0.0)
+    """Raw native edge: an empty trace on a three-instance pool returns
+    empty per-query arrays, zero busy time and a zero makespan."""
+    fn = _native.LOADER.function()
+    if fn is None:
+        pytest.skip(f"native loop unavailable: {_native.LOADER.error}")
+    types = np.array([0, 0, 0], dtype=np.int64)
+    start, service, wait, latency, chosen, busy, queue, makespan = (
+        _native.fcfs_dispatch(fn, np.empty(0), np.empty((1, 0)), types, True)
+    )
+    assert start.size == service.size == wait.size == latency.size == 0
+    assert chosen.size == 0
+    assert queue.size == 0 and makespan == 0.0
+    np.testing.assert_array_equal(busy, [0.0, 0.0, 0.0])
 
 
-# -- heterogeneous pools: the grouped-family kernel ----------------------------
+# -- heterogeneous pools ---------------------------------------------------------
 
 
 def bursty_trace(seed: int, n: int, rate: float) -> QueryTrace:
     """Adversarial arrival law: dense clumps of exact arrival ties
-    separated by long silences — the regime that stresses saturated-block
-    truncation and the fresh-start burst fill at once."""
+    separated by long silences, so pools swing between idle and saturated."""
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate, size=n)
     gaps[rng.random(n) < 0.4] = 0.0  # exact ties inside a clump
@@ -227,8 +213,7 @@ def bursty_trace(seed: int, n: int, rate: float) -> QueryTrace:
 )
 @settings(max_examples=40, deadline=None)
 def test_vector_heterogeneous_random_pools(seed, c1, c2, c3, rate):
-    """Mixed 2-3 family pools across the load range: the grouped-family
-    kernel must match the heap bit for bit."""
+    """Mixed 2-3 family pools across the load range."""
     model = make_toy_model(noise={"g4dn": 0.1, "t3": 0.2, "c5": 0.15})
     trace = rate_trace(seed, 300, rate)
     families, counts = ("g4dn", "t3"), (c1, c2)
@@ -240,9 +225,8 @@ def test_vector_heterogeneous_random_pools(seed, c1, c2, c3, rate):
 
 
 def test_vector_hetero_arrival_ties_across_families():
-    """Tied arrivals landing on instances of different families: label
-    choices matter for every service time, and the certification must
-    still resolve them exactly."""
+    """Tied arrivals landing on instances of different families: the
+    chosen instance decides every service time."""
     model = make_toy_model()
     for pool in (
         PoolConfiguration(("g4dn", "t3"), (2, 2)),
@@ -253,9 +237,8 @@ def test_vector_hetero_arrival_ties_across_families():
 
 def test_vector_hetero_equal_service_times():
     """Identical latency profiles in every family: finish times tie
-    across family boundaries constantly, so the grouped-family kernel's
-    screens must reject ambiguous blocks and take exact scalar steps
-    rather than guess a label."""
+    across family boundaries constantly, so the lowest-index tie-break
+    decides."""
     import dataclasses
 
     model = make_toy_model()
@@ -298,66 +281,58 @@ def test_vector_bursty_clumped_arrivals(seed):
 
 
 def test_forced_vector_engages_on_eligible_pools(toy_model):
+    """``auto`` runs one loop on single-instance and homogeneous pools."""
     trace = make_toy_trace(toy_model, n=300)
-    s = sim(toy_model, "vector")
+    s = sim(toy_model, "auto")
     s.simulate(trace, PoolConfiguration.homogeneous("g4dn", 1))
     s.simulate(trace, PoolConfiguration.homogeneous("t3", 4))
-    counts = s.dispatch_counts
-    assert counts["vector"] == 2
-    assert counts["vector_fallback"] == 0
+    assert s.dispatch_counts[expected_path()] == 2
 
 
 def test_forced_vector_engages_hetero_kernel(toy_model):
-    """Forced vector on a mixed-family pool runs the grouped-family
-    kernel — no heap fallback — and stays bit-identical to the heap."""
+    """``auto`` on a mixed-family pool never takes the Python loop when
+    the native one is available, and matches it bit for bit."""
     trace = make_toy_trace(toy_model, n=300)
     pool = PoolConfiguration(("g4dn", "t3"), (2, 2))
-    s = sim(toy_model, "vector")
-    vec = s.simulate(trace, pool)
-    counts = s.dispatch_counts
-    assert counts["vector_hetero"] == 1
-    assert counts["heap"] == 0
-    assert counts["vector"] == 0
-    assert counts["vector_fallback"] == 0
-    ref = sim(toy_model, "heap").simulate(trace, pool)
-    assert_identical(vec, ref, str(pool))
-    # The legacy heterogeneous-pool fallback reason is closed for good.
-    assert counts["vector_fallback_hetero"] == 0
+    s = sim(toy_model, "auto")
+    native = s.simulate(trace, pool)
+    path = expected_path()
+    assert s.dispatch_counts == {"native": 0, "python": 0, path: 1}
+    assert_identical(native, sim(toy_model, "python").simulate(trace, pool), str(pool))
 
 
 def test_auto_picks_vector_for_single_instance(toy_model):
-    trace = make_toy_trace(toy_model, n=300)  # >= _VECTOR_MIN_QUERIES
+    trace = make_toy_trace(toy_model, n=300)
     s = sim(toy_model, "auto")
     s.simulate(trace, PoolConfiguration.homogeneous("g4dn", 1))
-    assert s.dispatch_counts["vector"] == 1
+    assert s.dispatch_counts[expected_path()] == 1
 
 
 def test_auto_keeps_scalar_paths_for_small_scalar_regimes(toy_model):
+    """No crossover: tiny traces and small pools run the same loop."""
     s = sim(toy_model, "auto")
-    tiny = make_toy_trace(toy_model, n=20)  # below the vector crossover
+    tiny = make_toy_trace(toy_model, n=20)
     s.simulate(tiny, PoolConfiguration.homogeneous("g4dn", 1))
     trace = make_toy_trace(toy_model, n=300)
     s.simulate(trace, PoolConfiguration(("g4dn", "t3"), (1, 2)))
-    counts = s.dispatch_counts
-    assert counts["vector"] == 0
-    assert counts["linear"] + counts["heap"] == 2
+    assert s.dispatch_counts[expected_path()] == 2
 
 
 def test_memo_hits_do_not_count_as_dispatch(toy_model):
     trace = make_toy_trace(toy_model, n=200)
     s = InferenceServingSimulator(
-        toy_model, dispatch="vector", result_cache=SimulationResultCache(maxsize=8)
+        toy_model, dispatch="python", result_cache=SimulationResultCache(maxsize=8)
     )
     pool = PoolConfiguration.homogeneous("g4dn", 1)
     s.simulate(trace, pool)
     s.simulate(trace, pool)  # memo hit
-    assert s.dispatch_counts["vector"] == 1
+    assert s.dispatch_counts == {"native": 0, "python": 1}
 
 
 def test_dispatch_validation_lists_the_full_policy_set(toy_model):
     with pytest.raises(ValueError) as err:
         InferenceServingSimulator(toy_model, dispatch="quantum")
-    for policy in ("auto", "linear", "heap", "vector"):
+    for policy in ("auto", "python"):
         assert repr(policy) in str(err.value)
 
 
@@ -378,41 +353,32 @@ def test_runner_dispatch_validation():
 
     with pytest.raises(ScenarioError) as err:
         ScenarioRunner(_scenario(), dispatch="warp")
-    for policy in ("auto", "linear", "heap", "vector"):
+    for policy in ("auto", "python"):
         assert repr(policy) in str(err.value)
 
 
 def test_runner_reports_dispatch_engagement():
     runner = ScenarioRunner(
         _scenario(),
-        dispatch="vector",
+        dispatch="python",
         simulation_cache=SimulationResultCache(maxsize=0),
     )
-    # The homogeneous scan serves single-family pools only, so under the
-    # forced vector policy every one of its simulations runs the kernel.
+    # Under the forced Python policy every simulation of the homogeneous
+    # scan runs the Python loop.
     runner.homogeneous_optimum(seed=0)
     stats = runner.cache_stats()
-    assert set(stats["dispatch"]) == {
-        "linear",
-        "heap",
-        "vector",
-        "vector_hetero",
-        "vector_fallback",
-        "vector_fallback_hetero",
-        "vector_fallback_crossover",
-        "vector_fallback_tie_screen",
-    }
-    assert stats["dispatch"]["vector"] > 0
-    assert stats["dispatch"]["vector_fallback"] == 0
+    assert set(stats["dispatch"]) == {"native", "python"}
+    assert stats["dispatch"]["python"] > 0
+    assert stats["dispatch"]["native"] == 0
     assert runner.dispatch_counts() == stats["dispatch"]
 
 
 def test_runner_vector_search_is_bit_identical():
-    """Same scenario, same seed: dispatch="vector" and the scalar default
-    must return the same SearchResult, sample for sample."""
+    """Same scenario, same seed: dispatch="python" and the default must
+    return the same SearchResult, sample for sample."""
     kwargs = dict(simulation_cache=SimulationResultCache(maxsize=0))
     auto = ScenarioRunner(_scenario(), **kwargs).run("ribbon", seed=1)
-    vec = ScenarioRunner(_scenario(), dispatch="vector", **kwargs).run(
+    vec = ScenarioRunner(_scenario(), dispatch="python", **kwargs).run(
         "ribbon", seed=1
     )
     assert [r.pool.counts for r in vec.history] == [
@@ -428,8 +394,8 @@ def test_runner_vector_search_is_bit_identical():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bench_golden_sequence_under_vector_dispatch(seed):
-    """The recorded bench-workload goldens (captured on the scalar
-    engines) replay exactly under dispatch="vector"."""
+    """The recorded bench-workload goldens replay exactly under the
+    default policy through the default shared result memo."""
     from repro.models.zoo import get_model
     from repro.workload.trace import trace_for_model
 
@@ -443,13 +409,7 @@ def test_bench_golden_sequence_under_vector_dispatch(seed):
         load_factor=spec["load_factor"],
     )
     space = SearchSpace(tuple(spec["families"]), tuple(spec["bounds"]))
-    evaluator = ConfigurationEvaluator(
-        model,
-        trace,
-        RibbonObjective(space),
-        result_cache=SimulationResultCache(maxsize=0),
-        dispatch="vector",
-    )
+    evaluator = ConfigurationEvaluator(model, trace, RibbonObjective(space))
     res = RibbonOptimizer(max_samples=spec["max_samples"], seed=seed).search(
         evaluator
     )
@@ -457,12 +417,8 @@ def test_bench_golden_sequence_under_vector_dispatch(seed):
     assert res.best is not None
     assert list(res.best.pool.counts) == expected["best"]
     assert [list(r.pool.counts) for r in res.history] == expected["sequence"]
-    # Heterogeneous samples served by the grouped-family kernel, any
-    # single-family samples by the homogeneous kernel — all of it
-    # dispatched, none of it left to the scalar engines.
+    # Every dispatched sample ran on one loop; samples that hit the shared
+    # memo (filled by other searches in the process) never dispatch.
     counts = evaluator.simulator.dispatch_counts
-    assert (
-        counts["vector"] + counts["vector_hetero"] + counts["heap"]
-        == evaluator.n_evaluations
-    )
-    assert counts["vector_hetero"] > 0
+    assert counts[expected_path()] <= evaluator.n_evaluations
+    assert sum(counts.values()) == counts[expected_path()]
