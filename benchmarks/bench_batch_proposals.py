@@ -4,12 +4,13 @@ Times the paper-style multi-seed Ribbon sweep in the two proposal
 regimes the PR introduced:
 
 * **sequential** — the paper's schedule: one GP surrogate update and one
-  full-grid EI predict per sample (``batch_size=1``,
-  :class:`~repro.gp.proposals.SequentialEI`);
+  EI predict over the live (unsampled, unpruned) cells per sample
+  (``batch_size=1``, :class:`~repro.gp.proposals.SequentialEI`);
 * **batched** — constant-liar q-EI (``batch_size=8``): one surrogate
-  update and one full (mean + std) grid predict per *batch*, fantasy
-  rank-1 updates in between, and the proposed pools evaluated together
-  through ``Budget.evaluate_batch`` with thread-parallel simulation.
+  update and one (mean + std) predict over the live cells per *batch*,
+  fantasy rank-1 updates and mean refreshes of the cells still unpicked
+  in between, and the proposed pools evaluated together through
+  ``Budget.evaluate_batch`` with thread-parallel simulation.
 
 Both sides share one warmed service-time cache and get an identical
 fresh simulation memo, so the ratio isolates the proposal/evaluation
@@ -28,7 +29,8 @@ shared artifact format (see :mod:`_artifact`).  The bench
   lattice searched end-to-end without ever materializing
   ``SearchSpace.grid()`` (the streamed block-wise acquisition path), and
 * enforces the >= 2x sweep speedup on the recording host
-  (``BENCH_ENFORCE_SPEEDUP=1/0`` overrides, as in the sibling benches).
+  (``BENCH_ENFORCE_SPEEDUP=1/0`` overrides, as in the sibling benches);
+  each recording carries the host's ``cpu_count``.
 
 CI runs this bench with ``BENCH_BATCH_SMOKE=1``: shrunken trace and seed
 set, engagement + bit-identity + streaming asserts only (wall-clock
@@ -135,8 +137,9 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
     )
     assert _sequences(qei1_results) == _sequences(seq_results)
 
-    # The batched sweep (one surrogate update + one std-bearing grid
-    # predict per batch, thread-parallel evaluation of each batch).
+    # The batched sweep (one surrogate update + one std-bearing predict
+    # over the live cells per batch, thread-parallel evaluation of each
+    # batch).
     batch_times = []
 
     def measured():
@@ -230,6 +233,7 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
     seq_wall, batch_wall = min(seq_times), min(batch_times)
     speedup = seq_wall / batch_wall
     artifact.record(
+        cpu_count=os.cpu_count(),
         sequential_wall_s=seq_wall,
         batched_wall_s=batch_wall,
         speedup_batched=speedup,

@@ -20,16 +20,17 @@ The acquisition/proposal step is pluggable (:mod:`repro.gp.proposals`):
 the default :class:`~repro.gp.proposals.SequentialEI` engine reproduces
 the paper's one-proposal-per-iteration schedule bit-for-bit, while
 ``batch_size > 1`` switches to the constant-liar q-EI engine — one
-surrogate update and one full grid predict amortized over ``batch_size``
-proposals, evaluated together through :meth:`~repro.core.strategy.Budget.
-evaluate_batch` (optionally thread-parallel).  Large lattices (5+
+surrogate update and one predict over the live candidate cells amortized
+over ``batch_size`` proposals, evaluated together through
+:meth:`~repro.core.strategy.Budget.evaluate_batch` (optionally
+thread-parallel).  Large lattices (5+
 families, ``10^6+`` cells) are swept block-by-block through
 :meth:`~repro.core.search_space.SearchSpace.iter_grid` instead of being
 materialized; the ``stream`` knob forces either regime.
 
-Hot-path notes: the lattice, its unit-cube normalization, and the kernel's
-theta-independent view of it (rounding + squared norms) are prepared once
-per search and reused by every EI sweep; each GP refit runs the
+Hot-path notes: the lattice and its per-cell costs are built once per
+search; each EI sweep prepares and predicts only the live (unsampled,
+unpruned) cells, a set that only shrinks; each GP refit runs the
 analytic-gradient likelihood optimizer in :mod:`repro.gp.regression`.  With
 ``refit_period > 1`` the surrogate persists across iterations and absorbs
 new samples through the incremental rank-1 ``add_observation`` update,
@@ -104,7 +105,7 @@ class RibbonOptimizer(SearchStrategy):
         sequential schedule.  Larger values propose a q-point batch per
         surrogate update (constant-liar q-EI unless ``proposal_engine``
         overrides it) and evaluate it in one :meth:`Budget.evaluate_batch`
-        call — amortizing the GP refit and grid predict over the batch and
+        call — amortizing the GP refit and std predict over the batch and
         enabling thread-parallel simulation of the proposed pools.
     proposal_engine:
         The acquisition maximizer: an engine name (``"sequential-ei"``,
@@ -371,5 +372,6 @@ class RibbonOptimizer(SearchStrategy):
                     break
         finally:
             budget.metadata["n_pruned_final"] = ctx.n_pruned()
+            budget.metadata["acquisition_rows"] = ctx.acquisition_rows
             budget.metadata["cost_threshold"] = prune.cost_threshold
             budget.metadata["proposal_batches"] = n_batches

@@ -13,7 +13,11 @@ Two sound pruning rules derived from the structure of the problem:
    it never needs to be sampled.
 
 The prune set is applied as a constraint on the acquisition maximizer: the
-highest-acquisition configuration *not* in ``P`` is sampled next.
+highest-acquisition configuration *not* in ``P`` is sampled next.  Both rules
+only ever grow ``P`` (the threshold only falls, ceilings only add), so the
+acquisition keeps a shrinking array of live cells and re-filters just those
+(:meth:`repro.gp.proposals.AcquisitionContext.candidates`); pruned cells are
+never predicted.
 """
 
 from __future__ import annotations
@@ -86,14 +90,27 @@ class PruneSet:
         """Whether a pool configuration is pruned."""
         return self.contains(pool.counts)
 
-    def mask(self, grid: np.ndarray) -> np.ndarray:
-        """Boolean pruned-mask over an ``(m, n)`` grid (vectorized)."""
+    def costs(self, grid: np.ndarray) -> np.ndarray:
+        """Hourly cost of each ``(m, n)`` grid row (``grid @ prices``)."""
+        return np.asarray(grid) @ self._prices
+
+    def mask(self, grid: np.ndarray, costs: np.ndarray | None = None) -> np.ndarray:
+        """Boolean pruned-mask over an ``(m, n)`` grid (vectorized).
+
+        ``costs`` are the rows' precomputed ``grid @ prices``.  A caller
+        filtering a shrinking subset of one lattice computes them once
+        over the whole lattice and passes the subset's entries, so a cell
+        is judged against the threshold with the same cost value whatever
+        subset it is in (cost ties included).
+        """
         grid = np.asarray(grid)
         if grid.ndim != 2 or grid.shape[1] != self.n_dims:
             raise ValueError(
                 f"grid must be (m, {self.n_dims}), got shape {grid.shape}"
             )
-        pruned = (grid @ self._prices) >= self._cost_threshold
+        if costs is None:
+            costs = self.costs(grid)
+        pruned = costs >= self._cost_threshold
         for c in self._ceilings:
             pruned |= np.all(grid <= c, axis=1)
         return pruned

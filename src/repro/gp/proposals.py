@@ -7,28 +7,37 @@ touching the search loop:
 
 * :class:`AcquisitionContext` — the per-search state every engine reads
   and writes: observations (normalized to the unit cube), the set of
-  already-sampled lattice cells, the persistent surrogate of the
-  ``refit_period`` schedule, the prune set, and the lattice view;
+  already-sampled lattice cells, the live candidate cells, the persistent
+  surrogate of the ``refit_period`` schedule, the prune set, and the
+  lattice view;
 * :class:`LatticeView` — candidate access in two regimes.  Small spaces
-  keep the materialized cached-grid fast path (one prepared kernel input
-  reused by every EI sweep — bit-identical to the pre-refactor code).
+  keep the materialized grid and a shrinking ascending array of live
+  (unsampled, unpruned) cell indices: sampled cells and the prune set only
+  ever grow, so each proposal re-filters only the cells still live.
   Large spaces (``10^6+`` cells, 5+ families) stream the lattice in
   blocks via :meth:`SearchSpace.iter_grid`, so the acquisition argmax
   holds at most ``block_size`` rows at a time and the full grid is never
   materialized;
-* :class:`SequentialEI` — today's behavior: one GP update + one EI
-  argmax per proposal, with the exact masking, flat-acquisition fallback
-  and random tie-breaking of the original ``RibbonOptimizer._propose``
-  (golden-tested against the recorded search sequences);
+* :class:`SequentialEI` — one GP update + one EI argmax per proposal,
+  with the masking, flat-acquisition fallback and random tie-breaking of
+  the original ``RibbonOptimizer._propose`` (golden-tested against the
+  recorded search sequences);
 * :class:`ConstantLiarQEI` — a q-point batch via constant-liar fantasy
-  observations.  One surrogate update and one full (mean + std) grid
-  predict per *batch*; each proposal after the first conditions a fantasy
-  copy of the GP on the lie value through the existing rank-1 Cholesky
+  observations.  One surrogate update and one (mean + std) predict over
+  the live candidates per *batch*; each proposal after the first
+  conditions a fantasy copy of the GP on the lie value through the
+  existing rank-1 Cholesky
   :meth:`~repro.gp.regression.GaussianProcessRegressor.add_observation`
-  and refreshes the grid *mean* (an O(M·n) pass — the O(M·n^2) std
-  predict is paid once and amortized over the q proposals).  With
-  ``q=1`` no fantasy is ever applied, so the proposal — and the RNG
-  stream — is bit-identical to :class:`SequentialEI`.
+  and refreshes the candidates' *mean* (the std is paid once and
+  amortized over the q proposals).  With ``q=1`` no fantasy is ever
+  applied, so the proposal — and the RNG stream — is bit-identical to
+  :class:`SequentialEI`.
+
+Every sweep — both engines, both regimes — predicts only candidate rows.
+The GP posterior is row-local (a row's mean and std do not depend on the
+other rows of the call), so a candidate's EI equals its full-lattice value
+bit for bit, and the argmax, its ties and its one ``rng.choice`` draw are
+those of a full-lattice sweep masked to the candidates.
 
 Determinism contract: engines draw only from the context's generator, in
 a fixed order (surrogate seed draw on refits, one tie-break draw per
@@ -66,11 +75,9 @@ __all__ = [
 class LatticeView:
     """Acquisition-side access to a search space's candidate lattice.
 
-    ``stream`` picks the regime: ``"never"`` forces the materialized
-    cached-grid fast path, ``"always"`` forces block streaming, and
-    ``"auto"`` (default) streams only when the lattice exceeds
-    :data:`AUTO_STREAM_CELLS` cells — small spaces keep the exact
-    pre-refactor arrays.
+    ``stream`` picks the regime: ``"never"`` forces the materialized grid,
+    ``"always"`` forces block streaming, and ``"auto"`` (default) streams
+    only when the lattice exceeds :data:`AUTO_STREAM_CELLS` cells.
     """
 
     #: ``stream="auto"`` switches to block streaming above this many cells.
@@ -99,38 +106,31 @@ class LatticeView:
         self.streaming = stream == "always" or (
             stream == "auto" and space.n_configurations > self.AUTO_STREAM_CELLS
         )
-        self._prepared = None
 
     @property
     def n_cells(self) -> int:
         return self.space.n_configurations
 
-    # -- materialized fast path ------------------------------------------------
     def grid(self) -> np.ndarray:
+        """The materialized lattice (never called in the streaming regime)."""
         return self.space.grid()
 
-    def prepared(self):
-        """The kernel's theta-independent view of the full lattice, cached."""
-        if self._prepared is None:
-            self._prepared = self._kernel.precompute_input(self.space.grid_unit())
-        return self._prepared
-
-    # -- streaming path --------------------------------------------------------
-    def iter_raw_blocks(self):
+    def iter_blocks(self):
         """Yield ``(start, counts_block)`` lattice chunks.
 
         Block rows equal the corresponding materialized-grid rows, so a
         block-wise sweep visits exactly the cells a full-grid sweep does,
-        in the same order.  Kernel preparation is deliberately separate
-        (:meth:`prepare_block`) so callers can mask a block first and
-        skip the normalize/precompute work for fully pruned chunks.
+        in the same order.
         """
         return self.space.iter_grid(self.block_size)
 
-    def prepare_block(self, block: np.ndarray):
-        """Kernel-prepared unit-cube view of one raw block (bit-identical
-        to the corresponding rows of the materialized :meth:`prepared`)."""
-        return self._kernel.precompute_input(self.space.normalize(block))
+    def prepare(self, rows: np.ndarray):
+        """Kernel-prepared unit-cube view of some lattice rows.
+
+        Normalization and kernel preparation are per row, so the result
+        equals the same rows of a whole-lattice preparation bit for bit.
+        """
+        return self._kernel.precompute_input(self.space.normalize(rows))
 
     def counts_at(self, index: int) -> tuple[int, ...]:
         return self.space.counts_at(index)
@@ -141,8 +141,10 @@ class AcquisitionContext:
 
     Owns the observation lists (unit-cube inputs + objective values), the
     sampled-cell index set, the persistent surrogate of the
-    ``refit_period`` schedule, and the candidate masking (sampled cells
+    ``refit_period`` schedule, and the candidate filtering (sampled cells
     plus the active prune set).  All randomness flows through ``rng``.
+    ``acquisition_rows`` counts the rows the acquisition has scored: each
+    sweep adds one per candidate cell it predicts.
     """
 
     def __init__(
@@ -169,6 +171,11 @@ class AcquisitionContext:
         self.observations_x: list[np.ndarray] = []
         self.observations_y: list[float] = []
         self.sampled_idx: set[int] = set()
+        self.acquisition_rows = 0
+        # Materialized regime: the live candidates as ascending cell indices
+        # and every cell's cost, both built on first use by candidates().
+        self._live: np.ndarray | None = None
+        self._costs: np.ndarray | None = None
         # Persistent surrogate for refit_period > 1:
         # [gp, n_obs_incorporated, n_obs_at_last_full_refit].
         self._surrogate: list = [None, 0, 0]
@@ -198,9 +205,35 @@ class AcquisitionContext:
     def best_observed(self) -> float:
         return float(np.max(self.observations_y))
 
-    # -- candidate masking -----------------------------------------------------
+    # -- candidate filtering ---------------------------------------------------
+    def candidates(self) -> np.ndarray:
+        """Ascending indices of the unsampled, unpruned cells (materialized).
+
+        Equals ``np.flatnonzero(self.candidate_mask())``.  The sampled set
+        and the prune set only grow, so the previous answer is filtered
+        instead of the whole lattice: only cells still live are checked
+        against the current sampled set (cells added straight to
+        ``sampled_idx`` included) and prune set.  Costs are computed once
+        over the whole lattice, so a cell meets the cost threshold with
+        the value the full mask would give it.
+        """
+        grid = self.lattice.grid()
+        live = self._live
+        if live is None:
+            live = np.arange(grid.shape[0])
+        if self.sampled_idx:
+            sampled = np.fromiter(self.sampled_idx, np.int64, len(self.sampled_idx))
+            live = live[~np.isin(live, sampled)]
+        if self.prune is not None and live.size:
+            if self._costs is None:
+                self._costs = self.prune.costs(grid)
+            live = live[~self.prune.mask(grid[live], self._costs[live])]
+        self._live = live
+        return live
+
     def candidate_mask(self) -> np.ndarray:
-        """Unsampled-and-unpruned mask over the materialized grid."""
+        """Unsampled-and-unpruned mask over the materialized grid, rebuilt
+        from scratch (the reference :meth:`candidates` must equal)."""
         grid = self.lattice.grid()
         mask = np.ones(grid.shape[0], dtype=bool)
         if self.sampled_idx:
@@ -232,19 +265,19 @@ class AcquisitionContext:
         streamed-vs-materialized equivalence tests pin that.
         """
         if not self.lattice.streaming:
-            idx = np.flatnonzero(self.candidate_mask())
+            idx = self.candidates()
             if idx.size == 0:
                 return None
             return int(self.rng.choice(idx))
-        blocks = self.space.iter_grid(self.lattice.block_size)
         n_candidates = sum(
-            int(self.block_mask(start, block).sum()) for start, block in blocks
+            int(self.block_mask(start, block).sum())
+            for start, block in self.lattice.iter_blocks()
         )
         if n_candidates == 0:
             return None
         position = int(self.rng.choice(n_candidates))
         passed = 0
-        for start, block in self.space.iter_grid(self.lattice.block_size):
+        for start, block in self.lattice.iter_blocks():
             local = np.flatnonzero(self.block_mask(start, block))
             if position < passed + local.size:
                 return int(start + local[position - passed])
@@ -258,8 +291,7 @@ class AcquisitionContext:
         if not self.lattice.streaming:
             return self.prune.n_pruned(self.lattice.grid())
         return sum(
-            int(self.prune.mask(block).sum())
-            for _, block in self.space.iter_grid(self.lattice.block_size)
+            int(self.prune.mask(block).sum()) for _, block in self.lattice.iter_blocks()
         )
 
     def counts_at(self, index: int) -> tuple[int, ...]:
@@ -300,20 +332,38 @@ class AcquisitionContext:
         return gp
 
 
-def _masked_argmax(
-    ei: np.ndarray,
-    std: np.ndarray,
-    candidates: np.ndarray,
-    rng: np.random.Generator,
-) -> int:
-    """EI argmax over candidates with the optimizer's exact tie rules."""
-    ei = np.where(candidates, ei, -np.inf)
+def _score(
+    ctx: AcquisitionContext,
+    gp: GaussianProcessRegressor,
+    rows: np.ndarray,
+    best_observed: float,
+    mean_gp: GaussianProcessRegressor | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """EI and posterior std over some candidate lattice rows (one sweep).
+
+    ``mean_gp`` (the constant-liar fantasy surrogate) overrides the
+    posterior *mean* only, keeping ``gp``'s std.
+    """
+    prepared = ctx.lattice.prepare(rows)
+    mean, std = gp.predict(prepared, return_std=True)
+    if mean_gp is not None:
+        mean = mean_gp.predict(prepared)
+    ctx.acquisition_rows += rows.shape[0]
+    return expected_improvement(mean, std, best_observed=best_observed), std
+
+
+def _argmax(ei: np.ndarray, std: np.ndarray, rng: np.random.Generator) -> int:
+    """Position of the EI argmax over candidate rows, with the exact tie rules.
+
+    EI ties within ``1e-9`` relative of the maximum; when the acquisition
+    is flat, the highest-variance candidate (``1e-15`` absolute ties, pure
+    exploration).  One ``rng.choice`` draw either way.  Positions ascend
+    with cell index, so the draw picks the cell a full-lattice sweep
+    masked to the candidates would.
+    """
     best = float(ei.max())
     if not np.isfinite(best) or best <= 0.0:
-        # Flat acquisition: fall back to the highest-variance candidate,
-        # breaking ties randomly (pure exploration).
-        score = np.where(candidates, std, -np.inf)
-        top = np.flatnonzero(score >= score.max() - 1e-15)
+        top = np.flatnonzero(std >= std.max() - 1e-15)
         return int(rng.choice(top))
     top = np.flatnonzero(ei >= best * (1.0 - 1e-9))
     return int(rng.choice(top))
@@ -397,38 +447,30 @@ def _stream_argmax(
     """One block-streamed EI argmax pass (grid never materialized).
 
     Returns the selected cell index, or ``None`` when no candidate cell
-    remains.  Tie handling mirrors :func:`_masked_argmax`: EI ties within
-    ``1e-9`` relative of the maximum, falling back to the
-    highest-variance candidate (``1e-15`` absolute ties) when the
-    acquisition is flat — with one ``rng.choice`` draw either way.
-
-    ``mean_gp`` (the constant-liar fantasy surrogate) overrides the
-    posterior *mean* only, keeping ``gp``'s std — the same acquisition
-    definition the materialized batch path uses, so the two regimes pick
-    the same points.
+    remains.  Each block predicts only its candidate rows; the tie
+    trackers see the block with ``-inf`` at the other rows, so the ties,
+    the flat-acquisition fallback and the one ``rng.choice`` draw are
+    those of :func:`_argmax` over the whole candidate set.
     """
     ei_ties = _TieTracker(rel=1e-9, positive_only=True)
     std_ties = _TieTracker(abs_=1e-15)
     any_candidates = False
-    for start, block in ctx.lattice.iter_raw_blocks():
+    for start, block in ctx.lattice.iter_blocks():
         mask = ctx.block_mask(start, block)
         if exclude:
             stop = start + block.shape[0]
-            local = [i - start for i in exclude if start <= i < stop]
-            if local:
-                mask[local] = False
-        if not mask.any():
-            # Masked first so fully pruned/sampled blocks never pay the
-            # normalize + kernel-precompute + predict work.
+            picked = [i - start for i in exclude if start <= i < stop]
+            if picked:
+                mask[picked] = False
+        local = np.flatnonzero(mask)
+        if local.size == 0:
             continue
         any_candidates = True
-        prepared = ctx.lattice.prepare_block(block)
-        mean, std = gp.predict(prepared, return_std=True)
-        if mean_gp is not None:
-            mean = mean_gp.predict(prepared)
-        ei = expected_improvement(mean, std, best_observed=best_observed)
-        ei_ties.update(start, np.where(mask, ei, -np.inf))
-        std_ties.update(start, np.where(mask, std, -np.inf))
+        ei, std = _score(ctx, gp, block[local], best_observed, mean_gp)
+        for tracker, values in ((ei_ties, ei), (std_ties, std)):
+            scattered = np.full(block.shape[0], -np.inf)
+            scattered[local] = values
+            tracker.update(start, scattered)
     if not any_candidates:
         return None
     best = ei_ties.best
@@ -473,23 +515,23 @@ class SequentialEI(ProposalEngine):
             gp = ctx.surrogate_gp()
             idx = _stream_argmax(ctx, gp, ctx.best_observed())
             return [] if idx is None else [idx]
-        candidates = ctx.candidate_mask()
-        if not candidates.any():
+        cand = ctx.candidates()
+        if cand.size == 0:
             return []
         gp = ctx.surrogate_gp()
-        mean, std = gp.predict(ctx.lattice.prepared(), return_std=True)
-        ei = expected_improvement(mean, std, best_observed=ctx.best_observed())
-        return [_masked_argmax(ei, std, candidates, ctx.rng)]
+        ei, std = _score(ctx, gp, ctx.lattice.grid()[cand], ctx.best_observed())
+        return [int(cand[_argmax(ei, std, ctx.rng)])]
 
 
 class ConstantLiarQEI(ProposalEngine):
     """q-point batch EI via constant-liar fantasy observations.
 
-    The surrogate is updated once per batch and the full (mean + std)
-    grid predict is paid once; each subsequent proposal conditions a
-    *fantasy copy* of the GP on a constant lie value at the previous pick
-    through the rank-1 Cholesky ``add_observation`` and refreshes the
-    grid mean (O(M·n) per fantasy, against the O(M·n^2) std predict paid
+    The surrogate is updated once per batch and one (mean + std) predict
+    over the live candidates is paid once; each subsequent proposal
+    conditions a *fantasy copy* of the GP on a constant lie value at the
+    previous pick through the rank-1 Cholesky ``add_observation`` and
+    refreshes the mean of the candidates still unpicked (O(C·n) per
+    fantasy for C candidates, against the O(C·n^2) std predict paid
     once).  The real surrogate never sees a fantasy — after the batch is
     evaluated, measured objectives enter through the normal schedule.
 
@@ -533,28 +575,29 @@ class ConstantLiarQEI(ProposalEngine):
             raise ValueError(f"q must be >= 1, got {q!r}")
         if ctx.lattice.streaming:
             return self._propose_streaming(ctx, q)
-        candidates = ctx.candidate_mask()
-        if not candidates.any():
+        cand = ctx.candidates()
+        if cand.size == 0:
             return []
         gp = ctx.surrogate_gp()
-        mean, std = gp.predict(ctx.lattice.prepared(), return_std=True)
         best_observed = ctx.best_observed()
+        rows = ctx.lattice.grid()[cand]
+        ei, std = _score(ctx, gp, rows, best_observed)
         selected: list[int] = []
         fantasy = None
         for j in range(q):
-            if not candidates.any():
+            pos = _argmax(ei, std, ctx.rng)
+            selected.append(int(cand[pos]))
+            if j + 1 == q or cand.size == 1:
                 break
+            cand, rows, std = (np.delete(a, pos, axis=0) for a in (cand, rows, std))
+            if fantasy is None:
+                fantasy = copy.deepcopy(gp)
+            fantasy.add_observation(
+                ctx.unit_row(ctx.counts_at(selected[-1])), self._lie_value(ctx)
+            )
+            mean = fantasy.predict(ctx.lattice.prepare(rows))
+            ctx.acquisition_rows += cand.size
             ei = expected_improvement(mean, std, best_observed=best_observed)
-            idx = _masked_argmax(ei, std, candidates, ctx.rng)
-            selected.append(idx)
-            candidates[idx] = False
-            if j + 1 < q:
-                if fantasy is None:
-                    fantasy = copy.deepcopy(gp)
-                fantasy.add_observation(
-                    ctx.unit_row(ctx.counts_at(idx)), self._lie_value(ctx)
-                )
-                mean = fantasy.predict(ctx.lattice.prepared())
         return selected
 
     def _propose_streaming(self, ctx: AcquisitionContext, q: int) -> list[int]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import linalg as sla
 from scipy import optimize
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from repro.gp.kernels import Kernel, PreparedInput, _as_2d, concat_prepared
 
@@ -36,6 +36,13 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # dpotrs are exactly what scipy.linalg.cholesky / cho_solve dispatch to, so
 # results are bit-identical.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+# The posterior's triangular solve calls BLAS dtrsm directly.  LAPACK
+# dtrtrs (what scipy.linalg.solve_triangular dispatches to) takes another
+# path for a single right-hand side, whose last bits can differ from the
+# same column solved among others; dtrsm solves every column alike, so a
+# predicted row does not depend on how many rows share the call.
+(_TRSM,) = get_blas_funcs(("trsm",), (np.empty((1, 1)),))
 
 # `optimize.minimize(..., method="L-BFGS-B", jac=True)` resolves to exactly
 # this call chain; invoking it directly skips the per-call method dispatch
@@ -360,17 +367,22 @@ class GaussianProcessRegressor:
         """Posterior mean (and optionally standard deviation) at ``X``.
 
         ``X`` may be a plain ``(m, d)`` array or a :class:`PreparedInput`
-        produced by ``kernel.precompute_input`` — callers predicting over
-        the same candidate set many times (the BO grid) prepare it once.
+        produced by ``kernel.precompute_input``.  Rows are independent: the
+        mean and std of a row are bit-identical whichever subset of rows it
+        is predicted with.
         """
         if self._pi is None or self._alpha is None or self._L is None:
             raise RuntimeError("call fit() before predict()")
         pi = X if isinstance(X, PreparedInput) else self.kernel.precompute_input(X)
         K_star = self.kernel.eval_state(self.kernel.cross_state(pi, self._pi))
-        mean = K_star @ self._alpha * self._y_std + self._y_mean
+        # einsum, not a BLAS gemv: each row's dot product is reduced on its
+        # own, so a row's mean does not depend on which other rows share the
+        # call or on the BLAS thread count (acquisition predicts only the
+        # live candidate rows and must match the full-lattice values).
+        mean = np.einsum("ij,j->i", K_star, self._alpha) * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = sla.solve_triangular(self._L, K_star.T, lower=True, check_finite=False)
+        v = _TRSM(1.0, self._L, K_star.T, lower=1)
         # Legacy custom kernels may override diag(X) under the pre-prepared
         # array contract; only the base implementation understands a
         # PreparedInput.

@@ -1,5 +1,10 @@
 """Unit tests for the from-scratch GP regressor."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -124,3 +129,89 @@ class TestNormalization:
             RBF(0.3), noise=1e-8, normalize_y=False, optimize_hyperparameters=False
         ).fit(X, y)
         np.testing.assert_allclose(gp.predict(X), y, atol=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Row independence: the acquisition predicts only live candidate rows and
+# relies on each row's posterior equalling its full-lattice value exactly.
+# ---------------------------------------------------------------------------
+_LATTICE_BOUNDS = (8, 8, 8, 8, 8)
+
+# Fits the search's surrogate (rounded Matern-5/2 over a 59 048-cell
+# 5-family lattice, 40 observations) and prints a hash of the full-lattice
+# posterior.  Shared by the in-process fixture and the thread-count check.
+_LATTICE_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.core.search_space import SearchSpace
+from repro.gp.kernels import Matern52, RoundedKernel
+from repro.gp.regression import GaussianProcessRegressor
+
+BOUNDS = {bounds!r}
+
+def lattice_gp():
+    space = SearchSpace(("g4dn", "c5", "r5n", "m5", "t3"), BOUNDS)
+    kernel = RoundedKernel(Matern52(0.3), scale=np.asarray(BOUNDS, dtype=float))
+    rng = np.random.default_rng(3)
+    unit = space.grid_unit()
+    X = unit[rng.choice(unit.shape[0], size=40, replace=False)]
+    y = np.sin(3.0 * X).sum(axis=1) - X[:, 0] * X[:, 2]
+    gp = GaussianProcessRegressor(kernel, noise=1e-5, n_restarts=1, seed=0).fit(X, y)
+    return gp, kernel, unit
+
+def full_hash():
+    gp, kernel, unit = lattice_gp()
+    mean, std = gp.predict(kernel.precompute_input(unit), return_std=True)
+    return hashlib.sha256(mean.tobytes() + std.tobytes()).hexdigest()
+""".format(bounds=_LATTICE_BOUNDS)
+
+
+@pytest.fixture(scope="module")
+def lattice_posterior():
+    namespace: dict = {}
+    exec(_LATTICE_SCRIPT, namespace)
+    gp, kernel, unit = namespace["lattice_gp"]()
+    mean, std = gp.predict(kernel.precompute_input(unit), return_std=True)
+    return gp, kernel, unit, mean, std
+
+
+def _subset_posterior(lattice_posterior, rows):
+    gp, kernel, unit, _, _ = lattice_posterior
+    return gp.predict(kernel.precompute_input(unit[rows]), return_std=True)
+
+
+class TestRowIndependentPredict:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 1000, 20_000])
+    def test_random_subset_matches_full_lattice(self, lattice_posterior, seed, size):
+        _, _, unit, mean, std = lattice_posterior
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.choice(unit.shape[0], size=size, replace=False))
+        sub_mean, sub_std = _subset_posterior(lattice_posterior, rows)
+        np.testing.assert_array_equal(sub_mean, mean[rows])
+        np.testing.assert_array_equal(sub_std, std[rows])
+
+    @pytest.mark.parametrize("tail", [1, 2, 3, 7, 64, 1001])
+    def test_trailing_rows_match_full_lattice(self, lattice_posterior, tail):
+        _, _, unit, mean, std = lattice_posterior
+        rows = np.arange(unit.shape[0] - tail, unit.shape[0])
+        sub_mean, sub_std = _subset_posterior(lattice_posterior, rows)
+        np.testing.assert_array_equal(sub_mean, mean[rows])
+        np.testing.assert_array_equal(sub_std, std[rows])
+
+    def test_full_lattice_hash_independent_of_blas_threads(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = _LATTICE_SCRIPT + "\nprint(full_hash())\n"
+        hashes = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+                check=True,
+            )
+            hashes.append(done.stdout.strip())
+        assert hashes[0] == hashes[1]

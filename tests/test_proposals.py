@@ -16,15 +16,22 @@ Four layers, one exactness story:
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.objective import RibbonObjective
 from repro.core.optimizer import RibbonOptimizer
+from repro.core.pruning import PruneSet
 from repro.core.search_space import LazyPoolSequence, SearchSpace
 from repro.core.strategy import Budget
+from repro.gp.kernels import Matern52
 from repro.gp.proposals import (
+    AcquisitionContext,
     ConstantLiarQEI,
     SequentialEI,
     available_proposal_engines,
@@ -282,6 +289,115 @@ class TestTieTrackerMemory:
         tracker.update(0, np.array([0.0, 0.5, 0.5, 0.2]))
         tracker.update(4, np.array([0.5, 0.0]))
         np.testing.assert_array_equal(tracker.ties(), [1, 2, 4])
+
+
+# ---------------------------------------------------------------------------
+# Live candidate set: the shrinking index array vs the from-scratch mask
+# ---------------------------------------------------------------------------
+LIVE_SPACE = SearchSpace(("g4dn", "t3"), (6, 8))
+#: Integer-and-half prices: many cells cost exactly the same, and exactly
+#: a threshold value, so ties at the cost threshold are exercised.
+TIE_PRICES = (1.0, 0.5)
+
+_live_step = st.tuples(
+    st.one_of(
+        st.tuples(st.just("observe"), st.integers(0, LIVE_SPACE.n_configurations - 1)),
+        st.tuples(st.just("premark"), st.integers(0, LIVE_SPACE.n_configurations - 1)),
+        st.tuples(st.just("violator"), st.tuples(st.integers(0, 6), st.integers(0, 8))),
+        st.tuples(st.just("cost"), st.integers(0, 20)),
+        st.tuples(st.just("draw"), st.none()),
+    ),
+    st.booleans(),
+)
+
+
+def _live_ctx(prune, seed):
+    return AcquisitionContext(
+        LIVE_SPACE,
+        Matern52(0.3),
+        rng=np.random.default_rng(seed),
+        make_kernel=lambda: Matern52(0.3),
+        prune=prune,
+        stream="never",
+    )
+
+
+class TestLiveCandidates:
+    @given(
+        prune_seed=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8)), max_size=3),
+        steps=st.lists(_live_step, max_size=30),
+        use_pruning=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shrinking_set_equals_rebuilt_mask(self, prune_seed, steps, use_pruning, seed):
+        prune = PruneSet(TIE_PRICES)
+        for counts in prune_seed:
+            prune.add_violator(counts)
+        ctx = _live_ctx(prune if use_pruning else None, seed)
+
+        def check():
+            expected = np.flatnonzero(ctx.candidate_mask())
+            np.testing.assert_array_equal(ctx.candidates(), expected)
+
+        check()
+        for (op, arg), check_now in steps:
+            if op == "observe":
+                ctx.observe(LIVE_SPACE.counts_at(arg), 0.0)
+            elif op == "premark":  # the batched initial design's direct marking
+                ctx.sampled_idx.add(arg)
+            elif op == "violator":
+                prune.add_violator(arg)
+            elif op == "cost":
+                prune.update_cost_threshold(0.5 * arg)
+            else:
+                reference = copy.deepcopy(ctx.rng)
+                expected = np.flatnonzero(ctx.candidate_mask())
+                drawn = ctx.random_unsampled()
+                assert drawn == (int(reference.choice(expected)) if expected.size else None)
+                if drawn is not None:
+                    ctx.sampled_idx.add(drawn)
+            if check_now:
+                check()
+        check()
+
+    def test_cost_ties_pruned_at_threshold(self):
+        prune = PruneSet(TIE_PRICES)
+        ctx = _live_ctx(prune, 0)
+        ctx.candidates()
+        prune.update_cost_threshold(2.0)
+        costs = LIVE_SPACE.grid() @ np.asarray(TIE_PRICES)
+        np.testing.assert_array_equal(ctx.candidates(), np.flatnonzero(costs < 2.0))
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_acquisition_rows_equal_streamed_and_materialized(self, seed, batch_size):
+        materialized = run_ribbon(seed, batch_size=batch_size, stream="never", patience=None)
+        streamed = run_ribbon(
+            seed, batch_size=batch_size, stream="always", stream_block_size=7, patience=None
+        )
+        assert sequence(materialized) == sequence(streamed)
+        rows = materialized.metadata["acquisition_rows"]
+        assert rows == streamed.metadata["acquisition_rows"]
+        # Sampled cells are never scored, so every sweep covers fewer rows
+        # than the 34-cell lattice.
+        sweeps = materialized.metadata["proposal_batches"] * batch_size
+        assert 0 < rows < sweeps * 34
+
+    def test_predict_sees_only_candidate_rows(self, monkeypatch):
+        from repro.gp.regression import GaussianProcessRegressor
+
+        predicted: list[int] = []
+        orig = GaussianProcessRegressor.predict
+
+        def counting_predict(gp, X, return_std=False):
+            predicted.append(X.n_rows)
+            return orig(gp, X, return_std=return_std)
+
+        monkeypatch.setattr(GaussianProcessRegressor, "predict", counting_predict)
+        res = run_ribbon(0, stream="never", patience=None)
+        assert len(predicted) == res.metadata["proposal_batches"]
+        assert sum(predicted) == res.metadata["acquisition_rows"]
 
 
 class TestBatchedSearch:
