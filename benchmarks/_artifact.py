@@ -55,7 +55,7 @@ class BenchArtifact:
         return self.data[key]
 
     def record(self, **fields) -> dict:
-        """Append one recording (stamped with date + host) and write.
+        """Append one recording (stamped with date, host and core count).
 
         The recording becomes ``current`` and is appended to the
         append-only ``history`` so every prior measurement stays
@@ -64,6 +64,7 @@ class BenchArtifact:
         stamped = {
             "recorded_at": time.strftime("%Y-%m-%d"),
             "host": platform.node(),
+            "cpu_count": os.cpu_count(),
             **fields,
         }
         self.data["current"] = stamped

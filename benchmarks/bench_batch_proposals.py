@@ -233,7 +233,6 @@ def test_perf_batch_proposals(benchmark, batch_ctx):
     seq_wall, batch_wall = min(seq_times), min(batch_times)
     speedup = seq_wall / batch_wall
     artifact.record(
-        cpu_count=os.cpu_count(),
         sequential_wall_s=seq_wall,
         batched_wall_s=batch_wall,
         speedup_batched=speedup,

@@ -231,7 +231,6 @@ def test_perf_parallel_eval(benchmark, parallel_ctx, tmp_path):
         process_wall_s=process_wall,
         speedup_process=speedup,
         workers=workers,
-        cpu_count=os.cpu_count(),
         batch_size=spec["batch_size"],
         disk={
             "cold_wall_s": cold_wall,

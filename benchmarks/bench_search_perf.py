@@ -13,7 +13,8 @@ sequences; this bench
 
 * asserts the search still returns the *identical* best pool and sample
   sequence per seed (the rewrite's bit-identical contract),
-* re-measures the workload and appends the current timing + speedup to the
+* re-measures the workload and appends the current timing + speedup, with
+  the GP fits' L-BFGS-B run and likelihood-evaluation counts, to the
   artifact, and
 * enforces the >= 5x speedup target when the baseline was recorded on this
   host (wall-clock ratios across different machines are not comparable;
@@ -121,7 +122,14 @@ def test_perf_search_core(benchmark, search_ctx):
 
     wall = min(times)
     speedup = baseline["search_wall_s"] / wall
-    artifact.record(search_wall_s=wall, speedup_vs_pre_pr=speedup)
+    artifact.record(
+        search_wall_s=wall,
+        speedup_vs_pre_pr=speedup,
+        gp_fit_runs=sum(r.metadata["gp_fit_runs"] for r in results.values()),
+        gp_fit_evaluations=sum(
+            r.metadata["gp_fit_evaluations"] for r in results.values()
+        ),
+    )
     artifact.enforce_speedup(
         speedup,
         SPEEDUP_TARGET,

@@ -373,5 +373,7 @@ class RibbonOptimizer(SearchStrategy):
         finally:
             budget.metadata["n_pruned_final"] = ctx.n_pruned()
             budget.metadata["acquisition_rows"] = ctx.acquisition_rows
+            budget.metadata["gp_fit_runs"] = ctx.gp_fit_runs
+            budget.metadata["gp_fit_evaluations"] = ctx.gp_fit_evaluations
             budget.metadata["cost_threshold"] = prune.cost_threshold
             budget.metadata["proposal_batches"] = n_batches

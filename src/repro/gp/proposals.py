@@ -144,7 +144,9 @@ class AcquisitionContext:
     ``refit_period`` schedule, and the candidate filtering (sampled cells
     plus the active prune set).  All randomness flows through ``rng``.
     ``acquisition_rows`` counts the rows the acquisition has scored: each
-    sweep adds one per candidate cell it predicts.
+    sweep adds one per candidate cell it predicts.  ``gp_fit_runs`` and
+    ``gp_fit_evaluations`` count the surrogate refits' L-BFGS-B runs and
+    likelihood evaluations.
     """
 
     def __init__(
@@ -172,6 +174,8 @@ class AcquisitionContext:
         self.observations_y: list[float] = []
         self.sampled_idx: set[int] = set()
         self.acquisition_rows = 0
+        self.gp_fit_runs = 0
+        self.gp_fit_evaluations = 0
         # Materialized regime: the live candidates as ascending cell indices
         # and every cell's cost, both built on first use by candidates().
         self._live: np.ndarray | None = None
@@ -328,6 +332,8 @@ class AcquisitionContext:
             seed=int(self.rng.integers(2**31 - 1)),
         )
         gp.fit(X, y)
+        self.gp_fit_runs += gp.fit_runs
+        self.gp_fit_evaluations += gp.fit_evaluations
         self._surrogate[:] = [gp, n_obs, n_obs]
         return gp
 

@@ -17,6 +17,15 @@ training set (distances, rounding) is prepared once per ``fit`` and reused
 by every likelihood evaluation, and :meth:`GaussianProcessRegressor.
 add_observation` extends a fitted GP by one observation with a rank-1
 Cholesky border (O(n^2)) instead of a refit (O(n^3) per likelihood step).
+
+The fits' matrices are at most ~40x40, so SciPy's per-run bookkeeping
+around L-BFGS-B costs about as much as the likelihood itself.
+Analytic-gradient fits therefore drive SciPy's compiled ``setulb``
+routine (Byrd, Lu, Nocedal & Zhu 1995) through :func:`_lbfgsb_lean`, the
+loop ``optimize.minimize(method="L-BFGS-B", jac=True)`` runs, without
+that bookkeeping.  An import-time probe checks that the two give the
+same iterates on this SciPy; if they do not, every fit goes through
+``optimize.minimize``, as finite-difference fits always do.
 """
 
 from __future__ import annotations
@@ -27,6 +36,11 @@ from scipy import optimize
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from repro.gp.kernels import Kernel, PreparedInput, _as_2d, concat_prepared
+
+try:  # SciPy's compiled L-BFGS-B routine; the import probe below vets it
+    from scipy.optimize import _lbfgsb
+except ImportError:  # pragma: no cover
+    _lbfgsb = None
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -44,50 +58,126 @@ _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 # predicted row does not depend on how many rows share the call.
 (_TRSM,) = get_blas_funcs(("trsm",), (np.empty((1, 1)),))
 
-# `optimize.minimize(..., method="L-BFGS-B", jac=True)` resolves to exactly
-# this call chain; invoking it directly skips the per-call method dispatch
-# and bounds standardization, which add up across a search's many small
-# refits.  Results are identical; if the scipy layout ever changes we fall
-# back to the public entry point.
-try:  # pragma: no cover - import-time feature detection
-    from scipy.optimize._lbfgsb_py import (
-        _minimize_lbfgsb as _LBFGSB_DIRECT,
-    )
-    from scipy.optimize._optimize import MemoizeJac as _MemoizeJac
-except ImportError:  # pragma: no cover
-    _LBFGSB_DIRECT = None
-    _MemoizeJac = None
+# L-BFGS-B settings of `optimize.minimize(method="L-BFGS-B")` at its defaults
+# (maxcor, ftol, gtol, maxls, maxfun); `_lbfgsb_lean` must match them exactly.
+_LBFGSB_M = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
 
 
-def _minimize_lbfgsb(fun, x0, jac, bounds, maxiter: int):
-    """``optimize.minimize`` L-BFGS-B with the dispatch layer peeled off."""
-    if _LBFGSB_DIRECT is None:
-        return optimize.minimize(
-            fun,
-            x0,
-            method="L-BFGS-B",
-            jac=jac,
-            bounds=bounds,
-            options={"maxiter": maxiter},
+def _lbfgsb_lean(fun, x0, bounds, maxiter: int) -> optimize.OptimizeResult:
+    """L-BFGS-B on ``fun(x) -> (f, g)`` without SciPy's per-run bookkeeping.
+
+    The reverse-communication loop of SciPy's ``_minimize_lbfgsb`` around
+    the same ``setulb`` routine, with the same arguments: one evaluation at
+    ``x0`` up front, an evaluation request at an unchanged ``x`` answered
+    from the last evaluation (as ``ScalarFunction`` does), and the
+    ``maxiter`` and ``maxfun`` checks after each iteration.  The iterates,
+    ``fun``, ``nit`` and ``nfev`` equal ``optimize.minimize``'s bit for
+    bit; :func:`_probe_lean_lbfgsb` checks that once per process.
+    """
+    lo = np.array([b[0] for b in bounds], float)
+    hi = np.array([b[1] for b in bounds], float)
+    x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
+    has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+    # setulb's bound codes: 0 none, 1 lower only, 2 both, 3 upper only.
+    nbd = np.where(has_lo, np.where(has_hi, 2, 1), np.where(has_hi, 3, 0))
+    nbd = nbd.astype(np.int32)
+    lo, hi = np.where(has_lo, lo, 0.0), np.where(has_hi, hi, 0.0)
+    n, m = x.size, _LBFGSB_M
+
+    def evaluate(xe: np.ndarray):
+        fx, gx = fun(xe.copy())
+        return float(fx), np.atleast_1d(gx)
+
+    x_eval = x.copy()
+    f_eval, g_eval = evaluate(x_eval)
+    nfev = 1
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    nit = 0
+    while True:
+        g = g.astype(np.float64)
+        _lbfgsb.setulb(
+            m, x, lo, hi, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL,
+            wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task,
         )
+        if task[0] == 3:  # f and g wanted at x
+            if not (x == x_eval).all():  # np.array_equal, minus overhead
+                x_eval = x.copy()
+                f_eval, g_eval = evaluate(x_eval)
+                nfev += 1
+            f, g = f_eval, g_eval
+        elif task[0] == 1:  # a new iterate
+            nit += 1
+            if nit >= maxiter:
+                task[:] = (5, 504)
+            elif nfev > _LBFGSB_MAXFUN:
+                task[:] = (5, 502)
+        else:
+            break
+    return optimize.OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev)
+
+
+def _probe_objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Rosenbrock's function and gradient: the drift probe's problem."""
+    a, b = x
+    r = b - a * a
+    f = (1.0 - a) ** 2 + 100.0 * r * r
+    return f, np.array([-2.0 * (1.0 - a) - 400.0 * a * r, 200.0 * r])
+
+
+def _probe_lean_lbfgsb() -> bool:
+    """Whether :func:`_lbfgsb_lean` reproduces ``optimize.minimize`` here.
+
+    Runs both on a fixed bounded 2-D problem (the optimum sits on a bound)
+    and compares ``x``, ``fun``, ``nit`` and ``nfev`` bit for bit.  Any
+    exception or mismatch — a SciPy whose ``setulb`` or loop has drifted —
+    answers False.
+    """
+    x0, bounds = np.array([-1.2, 1.0]), [(-1.5, 0.9), (-0.5, 2.0)]
     try:
-        if jac is True:
-            memo = _MemoizeJac(fun)
-            return _LBFGSB_DIRECT(
-                memo, x0, jac=memo.derivative, bounds=bounds, maxiter=maxiter
-            )
-        return _LBFGSB_DIRECT(fun, x0, jac=jac, bounds=bounds, maxiter=maxiter)
-    except TypeError:
-        # Private-API signature drift in a future scipy: use the public
-        # entry point (identical results, slightly more per-call overhead).
-        return optimize.minimize(
-            fun,
+        lean = _lbfgsb_lean(_probe_objective, x0, bounds, maxiter=100)
+        ref = optimize.minimize(
+            _probe_objective,
             x0,
             method="L-BFGS-B",
-            jac=jac,
+            jac=True,
             bounds=bounds,
-            options={"maxiter": maxiter},
+            options={"maxiter": 100},
         )
+    except Exception:  # noqa: BLE001 - any failure means "do not use it"
+        return False
+    return bool(
+        np.array_equal(lean.x, ref.x)
+        and lean.fun == ref.fun
+        and lean.nit == ref.nit
+        and lean.nfev == ref.nfev
+    )
+
+
+#: Whether analytic-gradient fits run through :func:`_lbfgsb_lean`; when
+#: the import probe fails, every fit goes through ``optimize.minimize``.
+_LEAN_LBFGSB = _probe_lean_lbfgsb()
+
+
+def _run_lbfgsb(fun, x0, jac, bounds, maxiter: int) -> optimize.OptimizeResult:
+    """L-BFGS-B as ``optimize.minimize`` runs it, leanly where possible."""
+    if jac is True and _LEAN_LBFGSB:
+        return _lbfgsb_lean(fun, x0, bounds, maxiter)
+    return optimize.minimize(
+        fun,
+        x0,
+        method="L-BFGS-B",
+        jac=jac,
+        bounds=bounds,
+        options={"maxiter": maxiter},
+    )
 
 
 class GaussianProcessRegressor:
@@ -139,6 +229,9 @@ class GaussianProcessRegressor:
         self._L: np.ndarray | None = None
         self._y_mean = 0.0
         self._y_std = 1.0
+        #: L-BFGS-B runs and likelihood evaluations over all fits so far.
+        self.fit_runs = 0
+        self.fit_evaluations = 0
 
     # -- fitting -------------------------------------------------------------
     def fit(self, X, y) -> "GaussianProcessRegressor":
@@ -292,7 +385,9 @@ class GaussianProcessRegressor:
 
         Built as a closure so everything theta-independent — the kernel's
         prepared train structure, the noise matrix, the identity for the
-        ``K^-1`` solve — is hoisted out of the L-BFGS-B evaluation loop.
+        ``K^-1`` solve — is hoisted out of the L-BFGS-B evaluation loop,
+        and the per-evaluation matrices are written into reused buffers
+        (the same ufuncs on the same operands, so the same floats).
         """
         kernel = self.kernel
         state = self._ensure_train_state()
@@ -303,6 +398,9 @@ class GaussianProcessRegressor:
         rhs = np.empty((n, n + 1), order="F")
         rhs[:, 0] = y
         rhs[:, 1:] = np.eye(n)
+        # Fortran order lets dpotrf factor the buffer in place.
+        Kn = np.empty((n, n), order="F")
+        W = np.empty((n, n))
         p = kernel.n_params
         const = 0.5 * n * _LOG_2PI
         kernel_ws: dict = {}
@@ -310,7 +408,7 @@ class GaussianProcessRegressor:
         def neg_lml_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
             kernel.set_theta(theta)
             K, grads = kernel.eval_and_gradient_state(state, kernel_ws)
-            Kn = K + noise_eye
+            np.add(K, noise_eye, out=Kn)
             L, info = _POTRF(Kn, lower=1, clean=1, overwrite_a=1)
             if info != 0:
                 try:
@@ -319,12 +417,12 @@ class GaussianProcessRegressor:
                     return 1e25, np.zeros(p)
             sol, _ = _POTRS(L, rhs, lower=1)
             alpha = sol[:, 0]
-            lml = float(-0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - const)
+            lml = float(-0.5 * y @ alpha - np.log(L.diagonal()).sum() - const)
             if not np.isfinite(lml):
                 return 1e25, np.zeros(p)
             # d lml / d theta_j = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta_j)
-            W = alpha[:, None] * alpha
-            W -= sol[:, 1:]
+            np.multiply(alpha[:, None], alpha, out=W)
+            np.subtract(W, sol[:, 1:], out=W)
             g = np.empty(p)
             for j, G in enumerate(grads):
                 g[j] = 0.5 * np.vdot(W, G)
@@ -354,9 +452,11 @@ class GaussianProcessRegressor:
 
         best_theta, best_val = None, np.inf
         for x0 in starts:
-            res = _minimize_lbfgsb(
+            res = _run_lbfgsb(
                 fun, np.clip(x0, lows, highs), jac=jac, bounds=bounds, maxiter=100
             )
+            self.fit_runs += 1
+            self.fit_evaluations += int(res.nfev)
             if res.fun < best_val:
                 best_val, best_theta = float(res.fun), res.x
         if best_theta is not None and np.isfinite(best_val):

@@ -45,6 +45,16 @@ from repro.service.jobs import TERMINAL_STATES, JobManager
 __all__ = ["ServiceHandler", "ServiceServer", "make_server"]
 
 
+def _seed(value) -> int:
+    """A request's ``seed`` field: a JSON integer or an integer string."""
+    if not isinstance(value, bool) and isinstance(value, (int, str)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ScenarioError(f"'seed' must be an integer, got {value!r}")
+
+
 class ServiceServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the :class:`JobManager` for handlers."""
 
@@ -83,7 +93,16 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": {"type": exc_type, "message": message}})
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # A negative length would read to EOF and hold this thread
+            # until the client hangs up; the body is left unread.
+            self.close_connection = True
+            raise ScenarioError(f"bad Content-Length header {header!r}")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -177,7 +196,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             job = self.manager.submit(
                 body["scenario"],
                 body.get("strategy", "ribbon"),
-                seed=int(body.get("seed", 0)),
+                seed=_seed(body.get("seed", 0)),
                 reuse=body.get("reuse"),
                 **options,
             )
@@ -192,12 +211,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 self._send_json(200, job.snapshot())
             elif action == "fork":
                 body = self._read_json()
+                if not isinstance(body, dict):
+                    raise ScenarioError("fork body must be a JSON object")
                 changes = body.get("workload") or {}
                 if not isinstance(changes, dict):
                     raise ScenarioError("'workload' must be a JSON object")
                 kwargs = {}
                 if body.get("seed") is not None:
-                    kwargs["seed"] = int(body["seed"])
+                    kwargs["seed"] = _seed(body["seed"])
                 if body.get("strategy") is not None:
                     kwargs["strategy"] = body["strategy"]
                 job = self.manager.fork(job_id, **kwargs, **changes)

@@ -7,9 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
-from repro.gp.kernels import RBF, Matern52, RoundedKernel
+from repro.core.evaluator import ConfigurationEvaluator
+from repro.core.objective import RibbonObjective
+from repro.core.optimizer import RibbonOptimizer
+from repro.core.search_space import SearchSpace
+from repro.gp import regression
+from repro.gp.kernels import RBF, ConstantScale, Matern52, RoundedKernel, WhiteNoise
 from repro.gp.regression import GaussianProcessRegressor
+from repro.simulator.result_cache import SimulationResultCache
+from tests.conftest import make_toy_model, make_toy_trace
 
 
 def smooth_fn(x):
@@ -215,3 +225,163 @@ class TestRowIndependentPredict:
             )
             hashes.append(done.stdout.strip())
         assert hashes[0] == hashes[1]
+
+
+# ---------------------------------------------------------------------------
+# The lean L-BFGS-B loop must take SciPy's iterates exactly, and the import
+# probe must route every fit through optimize.minimize when it cannot.
+# ---------------------------------------------------------------------------
+_KERNELS = {
+    "rounded": lambda d: RoundedKernel(Matern52(0.3), scale=np.full(d, 8.0)),
+    "scaled": lambda d: ConstantScale(Matern52(0.3), 1.0),
+    "noisy": lambda d: Matern52(0.3) + WhiteNoise(1e-4),
+}
+
+
+def _lattice_gp(n, d, kernel, seed, *, nan_target=False):
+    """An unoptimized GP on ``n`` lattice-shaped rows (Ribbon's inputs)."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 9, size=(n, d)) / 8.0
+    y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.normal(size=n)
+    gp = GaussianProcessRegressor(
+        _KERNELS[kernel](d), noise=1e-5, optimize_hyperparameters=False
+    ).fit(X, y)
+    if nan_target:
+        gp._y = gp._y.copy()
+        gp._y[0] = np.nan  # every likelihood is non-finite: the 1e25 branch
+    return gp
+
+
+def _assert_same_run(fun, x0, bounds, maxiter):
+    lean = regression._lbfgsb_lean(fun, x0, bounds, maxiter)
+    ref = optimize.minimize(
+        fun,
+        x0,
+        method="L-BFGS-B",
+        jac=True,
+        bounds=bounds,
+        options={"maxiter": maxiter},
+    )
+    np.testing.assert_array_equal(lean.x, ref.x)
+    assert lean.fun == ref.fun
+    assert (lean.nit, lean.nfev) == (ref.nit, ref.nfev)
+    return lean
+
+
+class TestLeanLBFGSB:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 40),
+        d=st.integers(1, 3),
+        kernel=st.sampled_from(sorted(_KERNELS)),
+        seed=st.integers(0, 2**16),
+        start=st.sampled_from(["interior", "lower", "upper"]),
+        failure=st.sampled_from(["none", "region", "everywhere"]),
+        maxiter=st.sampled_from([2, 100]),
+    )
+    def test_matches_scipy_bit_for_bit(
+        self, n, d, kernel, seed, start, failure, maxiter
+    ):
+        gp = _lattice_gp(n, d, kernel, seed, nan_target=failure == "everywhere")
+        fun = gp._make_analytic_objective()
+        bounds = gp.kernel.theta_bounds()
+        lo, hi = np.array(bounds).T
+        x0 = np.random.default_rng(seed).uniform(lo, hi)
+        if start == "lower":
+            x0[0] = lo[0]
+        elif start == "upper":
+            x0[-1] = hi[-1]
+        if failure == "region":
+            # The objective's failure value over part of the box.
+            cut = 0.5 * (lo[0] + hi[0])
+            inner = fun
+
+            def fun(theta):
+                if theta[0] > cut:
+                    return 1e25, np.zeros(theta.size)
+                return inner(theta)
+
+        res = _assert_same_run(fun, x0, bounds, maxiter)
+        assert res.nit <= maxiter
+        if failure == "everywhere":
+            assert res.fun == 1e25
+
+    def test_infinite_and_one_sided_bounds(self):
+        def fun(x):
+            return float(np.sum((x - 3.0) ** 2)), 2.0 * (x - 3.0)
+
+        inf = np.inf
+        bounds = [(-inf, inf), (0.0, inf), (-inf, 1.0), (-1.0, 2.0)]
+        res = _assert_same_run(fun, np.zeros(4), bounds, 100)
+        np.testing.assert_allclose(res.x, [3.0, 3.0, 1.0, 2.0], atol=1e-6)
+
+    def test_probe_falls_back_on_mismatch(self, monkeypatch):
+        lean = regression._lbfgsb_lean
+
+        def off_by_one(*args, **kwargs):
+            res = lean(*args, **kwargs)
+            res.nfev += 1
+            return res
+
+        monkeypatch.setattr(regression, "_lbfgsb_lean", off_by_one)
+        assert not regression._probe_lean_lbfgsb()
+
+    def test_probe_falls_back_on_error(self, monkeypatch):
+        monkeypatch.setattr(regression, "_lbfgsb", None)  # setulb is gone
+        assert not regression._probe_lean_lbfgsb()
+
+    def test_fit_counters(self):
+        gp = _lattice_gp(12, 2, "rounded", 0)
+        calls = []
+        make = gp._make_analytic_objective
+
+        def counting():
+            fun = make()
+
+            def wrapped(theta):
+                calls.append(1)
+                return fun(theta)
+
+            return wrapped
+
+        gp._make_analytic_objective = counting
+        gp.optimize_hyperparameters = True
+        gp.n_restarts = 2
+        gp.fit(gp.X_train, gp.y_train)
+        assert gp.fit_runs == 3
+        assert gp.fit_evaluations == len(calls)
+
+
+def _toy_search(seed):
+    model = make_toy_model(arrival_rate_qps=400.0)
+    trace = make_toy_trace(model, n=600, seed=5)
+    space = SearchSpace(("g4dn", "t3"), (4, 6))
+    evaluator = ConfigurationEvaluator(
+        model,
+        trace,
+        RibbonObjective(space, qos_rate_target=0.95),
+        result_cache=SimulationResultCache(maxsize=0),
+    )
+    return RibbonOptimizer(max_samples=25, seed=seed).search(evaluator)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the lean loop ran on the fallback path")
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_search_identical_on_the_fallback_path(monkeypatch, seed):
+    assert regression._LEAN_LBFGSB, "import probe fell back"
+    lean = _toy_search(seed)
+    # Force the fallback the way a drifted SciPy would: the probe fails,
+    # and from then on no fit may touch the lean loop.
+    monkeypatch.setattr(regression, "_lbfgsb_lean", _raise)
+    monkeypatch.setattr(regression, "_LEAN_LBFGSB", regression._probe_lean_lbfgsb())
+    assert not regression._LEAN_LBFGSB
+    public = _toy_search(seed)
+    assert [r.pool.counts for r in public.history] == [
+        r.pool.counts for r in lean.history
+    ]
+    assert public.best.pool.counts == lean.best.pool.counts
+    for key in ("gp_fit_runs", "gp_fit_evaluations"):
+        assert public.metadata[key] == lean.metadata[key] > 0

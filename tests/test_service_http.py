@@ -7,9 +7,11 @@ drives the real runner factory end to end on a tiny scenario, the only
 test in this file that simulates anything.
 """
 
+import http.client
 import json
 import threading
 import urllib.request
+from urllib.parse import urlparse
 
 import pytest
 
@@ -193,6 +195,60 @@ class TestErrors:
                 "POST", f"/jobs/{parent['id']}/fork", {"workload": "nope"}
             )
         assert err.value.status == 400
+
+    def test_non_integer_seed_is_400(self, service):
+        _, client = service
+        with pytest.raises(ServiceError) as err:
+            client._request(
+                "POST",
+                "/jobs",
+                {"scenario": make_scenario().to_dict(), "seed": "abc"},
+            )
+        assert err.value.status == 400
+        assert err.value.error_type == "ScenarioError"
+        assert "seed" in err.value.message
+
+    def test_non_integer_fork_seed_is_400(self, service):
+        _, client = service
+        parent = client.submit(make_scenario(), "ribbon")
+        client.wait(parent["id"], timeout=10)
+        with pytest.raises(ServiceError) as err:
+            client._request(
+                "POST", f"/jobs/{parent['id']}/fork", {"seed": "abc"}
+            )
+        assert err.value.status == 400
+        assert err.value.error_type == "ScenarioError"
+        assert "seed" in err.value.message
+
+    def test_non_object_fork_body_is_400(self, service):
+        _, client = service
+        parent = client.submit(make_scenario(), "ribbon")
+        client.wait(parent["id"], timeout=10)
+        with pytest.raises(ServiceError) as err:
+            client._request("POST", f"/jobs/{parent['id']}/fork", [1])
+        assert err.value.status == 400
+        assert err.value.error_type == "ScenarioError"
+
+    @pytest.mark.parametrize("length", ["abc", "1.5", "-1", "-100"])
+    def test_bad_content_length_is_400(self, service, length):
+        _, client = service
+        host, port = urlparse(client.base_url).netloc.split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5)
+        try:
+            # No body and the connection stays open: a server that trusted
+            # a negative length would block reading to EOF, and this
+            # request would time out.
+            conn.putrequest("POST", "/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            body = json.loads(resp.read())
+        finally:
+            conn.close()
+        assert body["error"]["type"] == "ScenarioError"
+        assert "Content-Length" in body["error"]["message"]
 
 
 class TestRealRunnerSmoke:
